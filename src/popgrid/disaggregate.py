@@ -34,8 +34,8 @@ from .geo import (
     Point,
     Polygon,
     TileGrid,
+    first_owners,
     point_in_any,
-    points_in_any,
     representative_point,
     tile_centers_in_parts,
 )
@@ -147,28 +147,17 @@ def assign_pixels(
     """Route each valid built pixel to its tile and its first containing unit."""
     _check_inputs(mask, grid, tile_mask)
     built = (mask.values == 1) & ~mask.nodata
+    pixels = TileGrid(mask.origin_x, mask.origin_y, mask.n_cols, mask.n_rows, mask.pixel_size)
+    owner, overlap = first_owners(pixels, [u.geometry for u in units], where=built.reshape(-1))
     rr, cc = np.nonzero(built)
+    unit_of = owner.reshape(built.shape)[rr, cc]
+    del owner
     xs = mask.origin_x + (cc + 0.5) * mask.pixel_size
     ys = mask.origin_y + (rr + 0.5) * mask.pixel_size
-    n = xs.size
+    del rr, cc
 
     cols, rows, in_grid = grid.tile_indices_of(xs, ys)
-    flat_tile = np.where(in_grid, grid.flat_index(cols, rows), -1)
-
-    unit_of = np.full(n, -1, dtype=np.int64)
-    overlap = 0
-    for k, unit in enumerate(units):
-        bb = unit.bbox
-        cand = np.flatnonzero(
-            (xs >= bb.min_x) & (xs <= bb.max_x) & (ys >= bb.min_y) & (ys <= bb.max_y)
-        )
-        if cand.size == 0:
-            continue
-        inside = points_in_any(xs[cand], ys[cand], unit.geometry)
-        hit = cand[inside]
-        taken = unit_of[hit] != -1
-        overlap += int(np.count_nonzero(taken))
-        unit_of[hit[~taken]] = k
+    del xs, ys
     if overlap:
         warnings.warn(
             f"{overlap} built pixels fall in more than one admin unit; "
@@ -177,31 +166,25 @@ def assign_pixels(
             stacklevel=2,
         )
 
-    retained_flat = tile_mask.retained.reshape(-1)
-    tallies = []
-    for k, unit in enumerate(units):
-        sel = (unit_of == k) & (flat_tile >= 0)
-        tiles = flat_tile[sel]
-        keep = retained_flat[tiles]
-        r_tiles, r_counts = np.unique(tiles[keep], return_counts=True)
-        x_tiles, x_counts = np.unique(tiles[~keep], return_counts=True)
-        tallies.append(
-            UnitTally(
-                unit_id=unit.id,
-                retained_tiles=r_tiles,
-                retained_counts=r_counts.astype(np.int64),
-                excluded_tiles=x_tiles,
-                excluded_counts=x_counts.astype(np.int64),
-            )
-        )
-    assigned = unit_of != -1
+    # sort pixels by (unit, excluded, tile): run 2k = unit k's retained tiles, 2k+1 = excluded
+    sel = (unit_of != -1) & in_grid
+    tiles = grid.flat_index(cols[sel], rows[sel])
+    excluded = ~tile_mask.retained.reshape(-1)[tiles]
+    group = unit_of[sel].astype(np.int64) * 2 + excluded
+    keys, counts = np.unique(group * grid.n_tiles + tiles, return_counts=True)
+    group, tiles = np.divmod(keys, grid.n_tiles)
+    cut = np.searchsorted(group, np.arange(1, 2 * len(units)))
+    t, c = np.split(tiles, cut), np.split(counts.astype(np.int64), cut)
     return PixelAssignment(
         grid=grid,
-        tallies=tuple(tallies),
+        tallies=tuple(
+            UnitTally(unit.id, t[2 * k], c[2 * k], t[2 * k + 1], c[2 * k + 1])
+            for k, unit in enumerate(units)
+        ),
         overlap_pixels=overlap,
-        built_pixels_total=int(n),
+        built_pixels_total=int(unit_of.size),
         built_pixels_outside_grid=int(np.count_nonzero(~in_grid)),
-        built_pixels_unassigned=int(np.count_nonzero(~assigned & in_grid)),
+        built_pixels_unassigned=int(np.count_nonzero(in_grid & (unit_of == -1))),
     )
 
 

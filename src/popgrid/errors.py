@@ -78,7 +78,3 @@ class HeaderOrderWarning(PopgridWarning):
 
 class OverlapWarning(PopgridWarning):
     """Admin polygons overlap; ties were broken by input order."""
-
-
-class CrsWarning(PopgridWarning):
-    """Coordinates look like geographic degrees rather than projected meters."""

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, ParameterError
-from .geo import TileGrid, tile_centers_in_parts
+from .geo import TileGrid, first_owners
 from .io import AdminUnit, PopulationGrid, Raster
 
 __all__ = [
@@ -157,7 +157,7 @@ def zonal_stats(
     units: Sequence[AdminUnit],
     built: Raster | None = None,
 ) -> list[ZonalRow]:
-    """Sum tile populations per admin unit (tile centers decide membership).
+    """Sum tile populations per admin unit (a tile goes to the first unit holding its center).
 
     Tiles claimed by no unit are reported under a final ``_unassigned`` row,
     so the rows always total the grid's grand total. When ``built`` (a
@@ -178,14 +178,10 @@ def zonal_stats(
     else:
         built_flat = flat_pop > 0
     tile_area_km2 = (grid.tile_size / 1000.0) ** 2
-    taken = np.zeros(grid.n_tiles, dtype=bool)
-    rows: list[ZonalRow] = []
-    for unit in units:
-        tiles = tile_centers_in_parts(grid, unit.geometry)
-        mine = tiles[~taken[tiles]]
-        taken[mine] = True
-        rows.append(_zonal_row(unit.id, mine, flat_pop, built_flat, tile_area_km2))
-    rest = np.flatnonzero(~taken)
+    owner, _ = first_owners(grid, [u.geometry for u in units])
+    order = np.argsort(owner, kind="stable")
+    rest, *mine = np.split(order, np.searchsorted(owner[order], np.arange(len(units))))
+    rows = [_zonal_row(u.id, t, flat_pop, built_flat, tile_area_km2) for u, t in zip(units, mine)]
     rows.append(_zonal_row(UNASSIGNED_ID, rest, flat_pop, built_flat, tile_area_km2))
     return rows
 

@@ -17,6 +17,7 @@ pixel/tile centers agrees bit-for-bit with the scalar functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -311,6 +312,9 @@ class TileGrid:
         _require_finite(self.origin_y, "TileGrid.origin_y")
         if self.tile_size <= 0 or not math.isfinite(self.tile_size):
             raise ValidationError(f"tile_size must be positive, got {self.tile_size}")
+        for n in (self.n_cols, self.n_rows):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValidationError(f"grid size must be an integer, got {n!r}")
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValidationError(f"grid needs at least one tile: {self.n_cols}x{self.n_rows}")
 
@@ -372,26 +376,40 @@ def tile_index_of(grid: TileGrid, p: Point) -> TileId | None:
     return grid.tile_index_of(p)
 
 
-def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon]) -> np.ndarray:
-    """Flat indices (sorted, row-major) of tiles whose centers fall in any part."""
+def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon], where=None) -> np.ndarray:
+    """Flat indices (sorted, row-major) of tiles whose centers fall in any part,
+    among the tiles marked by ``where`` (flat bool array) if it is given."""
     box = parts_bbox(parts)
     c0 = max(0, math.floor((box.min_x - grid.origin_x) / grid.tile_size) - 1)
     c1 = min(grid.n_cols - 1, math.floor((box.max_x - grid.origin_x) / grid.tile_size) + 1)
     r0 = max(0, math.floor((box.min_y - grid.origin_y) / grid.tile_size) - 1)
     r1 = min(grid.n_rows - 1, math.floor((box.max_y - grid.origin_y) / grid.tile_size) + 1)
-    if c1 < c0 or r1 < r0:
-        return np.empty(0, dtype=np.int64)
     cols = np.arange(c0, c1 + 1, dtype=np.int64)
     rows = np.arange(r0, r1 + 1, dtype=np.int64)
     cc, rr = np.meshgrid(cols, rows)
     cc = cc.ravel()
     rr = rr.ravel()
+    flat = rr * grid.n_cols + cc
     xs = grid.origin_x + (cc + 0.5) * grid.tile_size
     ys = grid.origin_y + (rr + 0.5) * grid.tile_size
-    hit = points_in_any(xs, ys, parts)
-    flat = rr[hit] * grid.n_cols + cc[hit]
-    flat.sort()
-    return flat
+    keep = (xs >= box.min_x) & (xs <= box.max_x) & (ys >= box.min_y) & (ys <= box.max_y)
+    if where is not None:
+        keep &= where[flat]
+    hit = points_in_any(xs[keep], ys[keep], parts)
+    return flat[keep][hit]
+
+
+def first_owners(grid: TileGrid, geometries: Sequence[Sequence[Polygon]], where=None):
+    """Flat int32 index of the first geometry, in input order, holding each tile
+    center (-1 for none), and the count of hits on centers already owned."""
+    owner = np.full(grid.n_tiles, -1, dtype=np.int32)
+    overlap = 0
+    for k, parts in enumerate(geometries):
+        hit = tile_centers_in_parts(grid, parts, where)
+        free = hit[owner[hit] == -1]
+        overlap += hit.size - free.size
+        owner[free] = k
+    return owner, overlap
 
 
 def representative_point(parts: Sequence[Polygon]) -> Point:

@@ -369,7 +369,8 @@ def read_poi(path: str | Path) -> PoiSet:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return _read_poi_csv(p)
-    head = p.read_text(encoding="utf-8")[:200].lstrip()
+    with open(p, encoding="utf-8") as fh:
+        head = fh.read(200).lstrip()
     if head.startswith("{"):
         return _read_poi_geojson(p)
     return _read_poi_csv(p)

@@ -199,6 +199,15 @@ class TestRun:
         cfg_path.write_text(json.dumps({"admin": "x", "typo_key": 1}))
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("sizes", [{"n_cols": 5.5}, {"n_rows": True}])
+    def test_non_integer_grid_size_exits_two(self, tmp_path, scenario, capsys, sizes):
+        cfg = {name: scenario[name] for name in ("admin", "poi", "mask")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "out": str(tmp_path / "o"), **sizes}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestFilterPoi:
     def test_explicit_grid(self, tmp_path, scenario):
