@@ -97,8 +97,8 @@ def _derive_grid(cfg: PipelineConfig, units) -> TileGrid:
     box = parts_bbox([p for u in units for p in u.geometry])
     origin_x = cfg.origin_x if cfg.origin_x is not None else math.floor(box.min_x / ts) * ts
     origin_y = cfg.origin_y if cfg.origin_y is not None else math.floor(box.min_y / ts) * ts
-    n_cols = cfg.n_cols if cfg.n_cols is not None else math.floor((box.max_x - origin_x) / ts) + 1
-    n_rows = cfg.n_rows if cfg.n_rows is not None else math.floor((box.max_y - origin_y) / ts) + 1
+    n_cols = cfg.n_cols if cfg.n_cols is not None else max(1, math.ceil((box.max_x - origin_x) / ts))
+    n_rows = cfg.n_rows if cfg.n_rows is not None else max(1, math.ceil((box.max_y - origin_y) / ts))
     return TileGrid(origin_x=origin_x, origin_y=origin_y, n_cols=n_cols, n_rows=n_rows, tile_size=ts)
 
 

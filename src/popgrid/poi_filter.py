@@ -15,6 +15,7 @@ to reason about.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -24,6 +25,8 @@ from .errors import ParameterError, ValidationError
 from .geo import Point, TileGrid
 
 __all__ = ["PoiPoint", "PoiSet", "TileMask", "buffer_count", "dense_pois", "compute_tile_mask"]
+
+_PAIR_BLOCK = 2**16  # point pairs tested at once by PoiSet.buffer_counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,35 +38,13 @@ class PoiPoint:
 
 
 class PoiSet:
-    """Immutable POI collection with a uniform-bucket spatial index.
-
-    Radius queries return exactly what a linear scan over all points
-    returns; the buckets only prune candidates.
-    """
+    """Immutable POI collection with exact closed-disc radius queries: the
+    single-center queries scan every point, ``buffer_counts`` hashes them."""
 
     def __init__(self, points: Iterable[PoiPoint]):
         self._points: tuple[PoiPoint, ...] = tuple(points)
-        n = len(self._points)
         self._xs = np.array([p.location.x for p in self._points], dtype=np.float64)
         self._ys = np.array([p.location.y for p in self._points], dtype=np.float64)
-        if n:
-            self._min_x = float(self._xs.min())
-            self._min_y = float(self._ys.min())
-            span = max(float(self._xs.max()) - self._min_x, float(self._ys.max()) - self._min_y)
-            self._cell = span / max(1, math.isqrt(n)) if span > 0 else 1.0
-            bx = np.floor((self._xs - self._min_x) / self._cell).astype(np.int64)
-            by = np.floor((self._ys - self._min_y) / self._cell).astype(np.int64)
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for i in range(n):
-                buckets.setdefault((int(bx[i]), int(by[i])), []).append(i)
-            self._buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-            self._bucket_max = (int(bx.max()), int(by.max()))
-        else:
-            self._min_x = 0.0
-            self._min_y = 0.0
-            self._cell = 1.0
-            self._buckets = {}
-            self._bucket_max = (0, 0)
 
     @property
     def points(self) -> tuple[PoiPoint, ...]:
@@ -75,39 +56,61 @@ class PoiSet:
     def __iter__(self) -> Iterator[PoiPoint]:
         return iter(self._points)
 
-    def _candidates(self, x: float, y: float, radius: float) -> np.ndarray:
-        bx0 = max(0, math.floor((x - radius - self._min_x) / self._cell))
-        bx1 = min(self._bucket_max[0], math.floor((x + radius - self._min_x) / self._cell))
-        by0 = max(0, math.floor((y - radius - self._min_y) / self._cell))
-        by1 = min(self._bucket_max[1], math.floor((y + radius - self._min_y) / self._cell))
-        chunks = []
-        for cx in range(bx0, bx1 + 1):
-            for cy in range(by0, by1 + 1):
-                got = self._buckets.get((cx, cy))
-                if got is not None:
-                    chunks.append(got)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+    def _within(self, x: float, y: float, radius: float) -> np.ndarray:
+        dx = self._xs - x
+        dy = self._ys - y
+        return dx * dx + dy * dy <= radius * radius
 
     def indices_within(self, x: float, y: float, radius: float) -> np.ndarray:
         """Sorted indices of points within the closed disc of ``radius``."""
-        cand = self._candidates(x, y, radius)
-        if cand.size == 0:
-            return cand
-        dx = self._xs[cand] - x
-        dy = self._ys[cand] - y
-        hit = cand[dx * dx + dy * dy <= radius * radius]
-        hit.sort()
-        return hit
+        return np.flatnonzero(self._within(x, y, radius))
 
     def count_within(self, x: float, y: float, radius: float) -> int:
-        cand = self._candidates(x, y, radius)
-        if cand.size == 0:
-            return 0
-        dx = self._xs[cand] - x
-        dy = self._ys[cand] - y
-        return int(np.count_nonzero(dx * dx + dy * dy <= radius * radius))
+        return int(np.count_nonzero(self._within(x, y, radius)))
+
+    def buffer_counts(self, radius: float) -> np.ndarray:
+        """``count_within`` at every point, input order, in one grid-hashed pass:
+        fixed-radius near neighbours (Bentley, Stanat & Williams 1977) over the
+        3x3 cells around each point's own, ``_PAIR_BLOCK`` point pairs at a time."""
+        radius = _check_radius_threshold(radius)
+        rr, n = radius * radius, len(self._points)
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
+        big = float(max(np.abs(self._xs).max(), np.abs(self._ys).max()))
+        # Cover: with u = 2**-53, an accepted pair has |dx| <= radius*(1 + 2u), or
+        # |dx| < 2**-500 (smaller squares may leave the normal range), so the exact
+        # |xj - xi| is below radius*(1 + 2**-50) + 2**-499. Cell indices
+        # floor(fl(x / cell)) two apart need |xj - xi| > cell - 2u*big - cell*2**-1073.
+        # A cell exactly `radius` wide leaves no room for those errors (indexed as
+        # floor((x - min_x) / radius) it does split such pairs); the cell below has
+        # 2**-20 relative and 2**-490 absolute to spare, so the 3x3 cells hold every
+        # accepted pair. Overflow: |x| / cell <= 2**20, so int64 keys stay below 2**44.
+        cell = radius + (radius + big) * 2.0**-20 + 2.0**-490
+        kx, ky = (np.floor(v / cell).astype(np.int64) for v in (self._xs, self._ys))
+        width = int(ky.max() - ky.min()) + 3
+        key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
+        order = np.argsort(key, kind="stable")
+        key, xs, ys = key[order], self._xs[order], self._ys[order]
+        # A point's candidates are three runs of the sorted order, one per
+        # neighbouring cell column (cells ky-1..ky+1 have adjacent keys).
+        want = key[:, None] + np.arange(-1, 2) * width
+        lo = np.searchsorted(key, want - 1).ravel()
+        run = np.searchsorted(key, want + 1, side="right").ravel() - lo
+        point, lo, run = np.repeat(order, 3)[run > 0], lo[run > 0], run[run > 0]
+        ends = np.cumsum(run)
+        shift = lo - (ends - run)  # pair g of run r is point[r] and sorted g + shift[r]
+        counts = np.zeros(n, dtype=np.int64)
+        for g0 in range(0, int(ends[-1]), _PAIR_BLOCK):
+            g1 = min(g0 + _PAIR_BLOCK, int(ends[-1]))
+            r0, r1 = np.searchsorted(ends, [g0, g1 - 1], side="right")
+            r = slice(r0, r1 + 1)
+            seg = np.minimum(ends[r], g1) - np.maximum(ends[r] - run[r], g0)
+            j = np.arange(g0, g1) + np.repeat(shift[r], seg)
+            dx = xs[j] - np.repeat(self._xs[point[r]], seg)
+            dy = ys[j] - np.repeat(self._ys[point[r]], seg)
+            hit = dx * dx + dy * dy <= rr
+            np.add.at(counts, point[r], np.add.reduceat(hit, np.cumsum(seg) - seg, dtype=np.int64))
+        return counts
 
 
 @dataclass(frozen=True)
@@ -136,11 +139,15 @@ class TileMask:
         return np.flatnonzero(~self.retained.reshape(-1))
 
 
-def _check_radius_threshold(radius: float, threshold: int | None = None) -> None:
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ParameterError(f"radius must be positive, got {radius}")
-    if threshold is not None and threshold < 1:
-        raise ParameterError(f"threshold must be at least 1, got {threshold}")
+def _check_radius_threshold(radius: float, threshold: int | None = None) -> float:
+    """The radius as a float, once radius and threshold are in range."""
+    r = float(radius) if isinstance(radius, numbers.Real) and not isinstance(radius, bool) else math.nan
+    if not (0 < r and r * r < math.inf):
+        raise ParameterError(f"radius must be a positive number with a finite square, got {radius!r}")
+    whole = isinstance(threshold, numbers.Integral) and not isinstance(threshold, bool)
+    if threshold is not None and not (whole and threshold >= 1):
+        raise ParameterError(f"threshold must be an integer of at least 1, got {threshold!r}")
+    return r
 
 
 def buffer_count(pois: PoiSet, center: Point, radius: float) -> int:
@@ -149,18 +156,13 @@ def buffer_count(pois: PoiSet, center: Point, radius: float) -> int:
     When ``center`` is itself a member of the set it is included in the
     count, since its distance to itself is zero.
     """
-    _check_radius_threshold(radius)
-    return pois.count_within(center.x, center.y, radius)
+    return pois.count_within(center.x, center.y, _check_radius_threshold(radius))
 
 
 def dense_pois(pois: PoiSet, radius: float, threshold: int) -> tuple[PoiPoint, ...]:
     """The POIs whose buffer holds at least ``threshold`` points, input order."""
-    _check_radius_threshold(radius, threshold)
-    out = []
-    for p in pois:
-        if pois.count_within(p.location.x, p.location.y, radius) >= threshold:
-            out.append(p)
-    return tuple(out)
+    radius = _check_radius_threshold(radius, threshold)
+    return tuple(pois.points[i] for i in np.flatnonzero(pois.buffer_counts(radius) >= threshold))
 
 
 def compute_tile_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: int) -> TileMask:
@@ -169,11 +171,9 @@ def compute_tile_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: in
     POIs outside the grid extent never mark a tile but still contribute to
     the buffer counts of POIs inside it.
     """
-    _check_radius_threshold(radius, threshold)
+    radius = _check_radius_threshold(radius, threshold)
+    dense = pois.buffer_counts(radius) >= threshold
+    cols, rows, inside = grid.tile_indices_of(pois._xs[dense], pois._ys[dense])
     retained = np.ones((grid.n_rows, grid.n_cols), dtype=bool)
-    for p in dense_pois(pois, radius, threshold):
-        idx = grid.tile_index_of(p.location)
-        if idx is not None:
-            col, row = idx
-            retained[row, col] = False
+    retained[rows[inside], cols[inside]] = False
     return TileMask(grid=grid, retained=retained)

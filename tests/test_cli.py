@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popgrid import io
+from popgrid import io, synth
 from popgrid.cli import main
+from popgrid.geo import BBox
 
 
 @pytest.fixture
@@ -199,14 +200,35 @@ class TestRun:
         cfg_path.write_text(json.dumps({"admin": "x", "typo_key": 1}))
         assert main(["run", "--config", str(cfg_path)]) == 2
 
-    @pytest.mark.parametrize("sizes", [{"n_cols": 5.5}, {"n_rows": True}])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"n_cols": 5.5},
+            {"n_rows": True},
+            {"poi_threshold": 2.5},
+            {"poi_threshold": True},
+            {"poi_radius": "500"},
+        ],
+    )
     def test_non_integer_grid_size_exits_two(self, tmp_path, scenario, capsys, sizes):
         cfg = {name: scenario[name] for name in ("admin", "poi", "mask")}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**cfg, "out": str(tmp_path / "o"), **sizes}))
         assert main(["run", "--config", str(cfg_path)]) == 2
-        assert "ValidationError" in capsys.readouterr().err
+        error = "ParameterError" if any(k.startswith("poi_") for k in sizes) else "ValidationError"
+        assert f"ERROR: {error}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_default_grid_matches_truth_grid(self, tmp_path):
+        s = tmp_path / "s"
+        assert main(["synth", "--seed", "42", "--extent", "3840", "--out", str(s)]) == 0
+        out = tmp_path / "o"
+        args = ["--admin", str(s / "admin.geojson"), "--poi", str(s / "poi.geojson"), "--mask", str(s / "mask.asc")]
+        assert main(["run", *args, "--out", str(out)]) == 0
+        estimate = io.population_grid_from_raster(io.read_ascii_grid(out / "population.asc"))
+        assert (estimate.grid.n_cols, estimate.grid.n_rows) == (128, 128)
+        truth = synth.generate(synth.ScenarioSpec(seed=42, extent=BBox(0.0, 0.0, 3840.0, 3840.0)))
+        synth.score(estimate, truth)  # raises AlignmentError unless the grids match
 
 
 class TestFilterPoi:

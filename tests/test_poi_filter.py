@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from popgrid import poi_filter
 from popgrid.errors import ParameterError
 from popgrid.geo import Point, TileGrid
 from popgrid.poi_filter import (
@@ -200,3 +205,126 @@ class TestComputeTileMask:
             mask = compute_tile_mask(self.grid, pois, 400.0, threshold)
             excluded.append(set(mask.excluded_flat().tolist()))
         assert excluded[2] <= excluded[1] <= excluded[0]
+
+
+# (radius, min_x, x1, x2): x1 and x2 pass the closed-disc test, yet cells exactly
+# `radius` wide indexed as floor((x - min_x) / radius) put them two cells apart.
+STRADDLING = [
+    (333.3, -3757187.075615207, -903472.4756152073, -903139.1756152074),
+    (0.1, -981.6836990471543, 438.41630095284575, 438.5163009528457),
+    (0.001, -0.5831571153158075, 3.973842884684192, 3.974842884684192),
+]
+
+
+def assert_counts_exact(coords, radius):
+    pois = make_set(coords)
+    assert pois.buffer_counts(radius).tolist() == brute_counts(pois, radius).tolist()
+
+
+class TestBufferCounts:
+    @pytest.mark.parametrize("radius", [500.0, 333.3, 0.1])
+    @pytest.mark.parametrize("offset", [0.0, 1e7, -12345.678])
+    def test_rows_exactly_radius_apart_along_x_and_y(self, radius, offset):
+        row = [offset + i * radius for i in range(-20, 21)]
+        assert_counts_exact([(x, offset) for x in row], radius)
+        assert_counts_exact([(offset, y) for y in row], radius)
+        assert_counts_exact([(x, y) for x in row[::4] for y in row[::4]], radius)
+
+    @pytest.mark.parametrize("radius, min_x, x1, x2", STRADDLING)
+    def test_pairs_that_straddle_a_cell_boundary(self, radius, min_x, x1, x2):
+        dx = x2 - x1
+        assert dx != radius and dx * dx <= radius * radius
+        assert np.floor((x2 - min_x) / radius) - np.floor((x1 - min_x) / radius) == 2
+        coords = [(min_x, 0.0), (x1, 0.0), (x2, 0.0)]
+        assert_counts_exact(coords, radius)
+        assert_counts_exact([(y, x) for x, y in coords], radius)
+
+    def test_coordinates_offset_by_1e7(self):
+        pois = random_poi_set(np.random.default_rng(41), 300, span=3000.0)
+        coords = [(p.location.x + 1e7, p.location.y - 1e7) for p in pois]
+        assert_counts_exact(coords, 400.0)
+
+    def test_duplicates_and_all_identical(self):
+        coords = [(0.0, 0.0), (0.0, 0.0), (500.0, 0.0), (500.0, 0.0), (900.0, 1.0)] * 3
+        assert_counts_exact(coords, 500.0)
+        # span 0, and 90 000 pairs in one cell: more than one block of pairs
+        assert_counts_exact([(123.25, -7.5)] * 300, 500.0)
+
+    def test_one_poi_and_empty_set(self):
+        assert make_set([(5.0, 5.0)]).buffer_counts(500.0).tolist() == [1]
+        counts = make_set([]).buffer_counts(500.0)
+        assert counts.shape == (0,) and counts.dtype == np.int64
+
+    def test_millimetre_radius_over_a_kilometre_span(self):
+        rng = np.random.default_rng(42)
+        base = rng.uniform(0, 1e6, (100, 2))
+        near = base[:40] + rng.uniform(-1e-3, 1e-3, (40, 2))
+        coords = [tuple(c) for c in np.vstack([base, near, base[:10] + [1e-3, 0.0]])]
+        assert_counts_exact(coords, 1e-3)
+
+    def test_radius_larger_than_span(self):
+        pois = random_poi_set(np.random.default_rng(43), 60, span=100.0)
+        assert pois.buffer_counts(1e4).tolist() == brute_counts(pois, 1e4).tolist() == [60] * 60
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_small_pair_blocks(self, block):
+        pois = random_poi_set(np.random.default_rng(44), 150, span=800.0)
+        with mock.patch.object(poi_filter, "_PAIR_BLOCK", block):
+            got = pois.buffer_counts(250.0)
+        assert got.tolist() == brute_counts(pois, 250.0).tolist()
+
+
+# Lattice coordinates put many pairs at exactly the radius; floats fill the rest.
+coord = st.one_of(
+    st.integers(-24, 24).map(lambda k: k * 12.5),
+    st.floats(min_value=-300.0, max_value=300.0, allow_nan=False),
+)
+radius_st = st.one_of(st.sampled_from([12.5, 25.0, 37.5, 100.0]), st.floats(min_value=1e-3, max_value=1000.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coords=st.lists(st.tuples(coord, coord), max_size=40),
+    offset=st.sampled_from([0.0, 1e7]),
+    radius=radius_st,
+    threshold=st.integers(min_value=1, max_value=6),
+    block=st.sampled_from([3, 64, 2**16]),
+)
+def test_dense_pois_and_mask_equal_brute_force(coords, offset, radius, threshold, block):
+    pois = make_set([(x + offset, y + offset) for x, y in coords])
+    grid = TileGrid(origin_x=offset - 150.0, origin_y=offset - 150.0, n_cols=10, n_rows=10, tile_size=30.0)
+    counts = brute_counts(pois, radius)
+    with mock.patch.object(poi_filter, "_PAIR_BLOCK", block):
+        dense = dense_pois(pois, radius, threshold)
+        mask = compute_tile_mask(grid, pois, radius, threshold)
+    assert dense == tuple(p for p, c in zip(pois, counts) if c >= threshold)
+    assert np.array_equal(mask.retained, brute_dense_mask(grid, pois, radius, threshold))
+
+
+class TestParameterValidation:
+    pois = make_set([(0.0, 0.0), (1.0, 1.0)])
+    grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=2, n_rows=2, tile_size=30.0)
+
+    @pytest.mark.parametrize("radius", [True, "500", None, float("nan"), float("inf"), 0, -5.0, 1e200])
+    def test_bad_radius(self, radius):
+        calls = [
+            lambda: buffer_count(self.pois, Point(0, 0), radius),
+            lambda: dense_pois(self.pois, radius, 5),
+            lambda: compute_tile_mask(self.grid, self.pois, radius, 5),
+            lambda: self.pois.buffer_counts(radius),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="radius"):
+                call()
+
+    @pytest.mark.parametrize("threshold", [True, 2.5, 5.0, "5", 0, -1])
+    def test_bad_threshold(self, threshold):
+        with pytest.raises(ParameterError, match="threshold"):
+            dense_pois(self.pois, 500.0, threshold)
+        with pytest.raises(ParameterError, match="threshold"):
+            compute_tile_mask(self.grid, self.pois, 500.0, threshold)
+
+    def test_numpy_scalars_accepted(self):
+        mask = compute_tile_mask(self.grid, self.pois, np.float64(500.0), np.int64(2))
+        assert mask.n_excluded == 1
+        assert buffer_count(self.pois, Point(0, 0), np.float32(2.0)) == 2
