@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 import warnings
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from . import disaggregate, evaluate, io, render, synth
 from .errors import AlignmentError, ConfigurationError, ParameterError, PopgridError
-from .geo import BBox, TileGrid, parts_bbox
+from .geo import BBox, TileGrid, as_real, parts_bbox
 from .poi_filter import compute_tile_mask
 
 DEFAULT_TILE_SIZE = 30.0
@@ -41,7 +42,6 @@ class PipelineConfig:
     tile_size: float = DEFAULT_TILE_SIZE
     poi_radius: float = DEFAULT_POI_RADIUS
     poi_threshold: int = DEFAULT_POI_THRESHOLD
-    theta: float = DEFAULT_THETA
     origin_x: float | None = None
     origin_y: float | None = None
     n_cols: int | None = None
@@ -57,6 +57,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigurationError(f"{config_path}: invalid JSON config ({e.msg})") from None
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{config_path}: a config file must hold a JSON object")
         known = {f.name for f in fields(PipelineConfig)}
         unknown = set(raw) - known
         if unknown:
@@ -69,32 +71,27 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             overrides[f.name] = value
     if overrides:
         cfg = replace(cfg, **overrides)
-    if cfg.workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {cfg.workers}")
+    # n_cols/n_rows (TileGrid), poi_radius/poi_threshold (poi_filter) and
+    # level (AdminLevel) are type-checked where they are used.
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in ("admin", "poi", "mask", "out") and value is not None and not isinstance(value, str):
+            raise ConfigurationError(f"{f.name} must be a path string, got {value!r}")
+        if f.name in ("origin_x", "origin_y") and value is not None and not math.isfinite(as_real(value)):
+            raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
+    if not (math.isfinite(as_real(cfg.tile_size)) and cfg.tile_size > 0):
+        raise ParameterError(f"tile size must be a positive finite number, got {cfg.tile_size!r}")
+    if isinstance(cfg.workers, bool) or not isinstance(cfg.workers, numbers.Integral) or cfg.workers < 1:
+        raise ParameterError(f"workers must be an integer of at least 1, got {cfg.workers!r}")
     return cfg
 
 
-def _looks_geographic(box: BBox) -> bool:
-    return -180.0 <= box.min_x <= box.max_x <= 180.0 and -90.0 <= box.min_y <= box.max_y <= 90.0
-
-
-def _check_projected(admin_path: str, box: BBox) -> None:
-    doc = json.loads(Path(admin_path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict) and io.declares_meters(doc):
-        return
-    if _looks_geographic(box):
-        raise ConfigurationError(
-            f"{admin_path}: coordinates fit inside longitude/latitude ranges and the file "
-            "does not declare coordinate_units 'meters'; reproject to a planar meter CRS "
-            "(or add the declaration) before running"
-        )
-
-
-def _derive_grid(cfg: PipelineConfig, units) -> TileGrid:
+def _derive_grid(cfg: PipelineConfig, units=None) -> TileGrid:
     ts = cfg.tile_size
-    if ts <= 0:
-        raise ParameterError(f"tile size must be positive, got {ts}")
-    box = parts_bbox([p for u in units for p in u.geometry])
+    if None in (cfg.origin_x, cfg.origin_y, cfg.n_cols, cfg.n_rows):
+        if units is None:
+            raise ConfigurationError("filter-poi needs --admin or all of --origin-x/--origin-y/--n-cols/--n-rows")
+        box = parts_bbox([p for u in units for p in u.geometry])
     origin_x = cfg.origin_x if cfg.origin_x is not None else math.floor(box.min_x / ts) * ts
     origin_y = cfg.origin_y if cfg.origin_y is not None else math.floor(box.min_y / ts) * ts
     n_cols = cfg.n_cols if cfg.n_cols is not None else max(1, math.ceil((box.max_x - origin_x) / ts))
@@ -118,23 +115,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     errors: list[str] = []
     warns: list[str] = []
     checked: dict[str, dict] = {}
-    units = None
+    admin_box = None
     mask_raster = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.admin:
             try:
-                units = io.read_admin_units(args.admin, expected_level=args.level)
-                box = parts_bbox([p for u in units for p in u.geometry])
+                units = io.read_admin_units(args.admin, expected_level=args.level, require_projected=True)
+                admin_box = parts_bbox([p for u in units for p in u.geometry])
                 checked["admin"] = {
                     "units": len(units),
-                    "bbox": [box.min_x, box.min_y, box.max_x, box.max_y],
+                    "bbox": [admin_box.min_x, admin_box.min_y, admin_box.max_x, admin_box.max_y],
                     "population_total": float(sum(u.population for u in units)),
                 }
-                try:
-                    _check_projected(args.admin, box)
-                except ConfigurationError as e:
-                    errors.append(str(e))
             except (PopgridError, OSError) as e:
                 errors.append(f"{type(e).__name__}: {e}")
         if args.poi:
@@ -153,8 +146,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 }
             except (PopgridError, OSError) as e:
                 errors.append(f"{type(e).__name__}: {e}")
-        if units is not None and mask_raster is not None:
-            admin_box = parts_bbox([p for u in units for p in u.geometry])
+        if admin_box is not None and mask_raster is not None:
             if not admin_box.intersects(mask_raster.extent()):
                 errors.append("admin polygons and built-up mask have disjoint extents")
     warns.extend(str(w.message) for w in caught)
@@ -179,9 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if getattr(cfg, name) is None:
             raise ConfigurationError(f"run needs --{name} (or a config file entry)")
     t0 = time.perf_counter()
-    units = io.read_admin_units(cfg.admin, expected_level=cfg.level)
-    box = parts_bbox([p for u in units for p in u.geometry])
-    _check_projected(cfg.admin, box)
+    units = io.read_admin_units(cfg.admin, expected_level=cfg.level, require_projected=True)
     pois = io.read_poi(cfg.poi)
     mask = io.BinaryRaster.from_raster(io.read_ascii_grid(cfg.mask))
     grid = _derive_grid(cfg, units)
@@ -225,21 +215,10 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
     if cfg.poi is None or cfg.out is None:
         raise ConfigurationError("filter-poi needs --poi and --out")
     pois = io.read_poi(cfg.poi)
+    units = None
     if cfg.admin is not None:
-        units = io.read_admin_units(cfg.admin, expected_level=cfg.level)
-        grid = _derive_grid(cfg, units)
-    elif None not in (cfg.origin_x, cfg.origin_y, cfg.n_cols, cfg.n_rows):
-        grid = TileGrid(
-            origin_x=cfg.origin_x,
-            origin_y=cfg.origin_y,
-            n_cols=cfg.n_cols,
-            n_rows=cfg.n_rows,
-            tile_size=cfg.tile_size,
-        )
-    else:
-        raise ConfigurationError(
-            "filter-poi needs --admin or all of --origin-x/--origin-y/--n-cols/--n-rows"
-        )
+        units = io.read_admin_units(cfg.admin, expected_level=cfg.level, require_projected=True)
+    grid = _derive_grid(cfg, units)
     tile_mask = compute_tile_mask(grid, pois, cfg.poi_radius, cfg.poi_threshold)
     io.write_ascii_grid(io.raster_from_tile_mask(tile_mask), cfg.out)
     _emit(
@@ -295,7 +274,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_zonal(args: argparse.Namespace) -> int:
     pop = io.population_grid_from_raster(io.read_ascii_grid(args.grid))
-    units = io.read_admin_units(args.admin, expected_level=args.level)
+    units = io.read_admin_units(args.admin, expected_level=args.level, require_projected=True)
     built = io.read_ascii_grid(args.built) if args.built else None
     rows = evaluate.zonal_stats(pop, units, built=built)
     io.write_zonal_csv(rows, args.out)

@@ -29,6 +29,17 @@ from .errors import GeometryError, ValidationError
 TileId = tuple[int, int]  # (col, row)
 
 
+def as_real(value: object) -> float:
+    """``value`` as a float: NaN unless it is a real number other than a bool,
+    infinite for an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require_finite(value: float, what: str) -> float:
     v = float(value)
     if not math.isfinite(v):
@@ -286,6 +297,8 @@ def points_in_any(pxs: np.ndarray, pys: np.ndarray, parts: Sequence[Polygon]) ->
 
 
 def parts_bbox(parts: Sequence[Polygon]) -> BBox:
+    if not parts:
+        raise ValidationError("no polygons to take a bounding box of")
     box = parts[0].bbox
     for part in parts[1:]:
         box = box.union(part.bbox)
@@ -308,9 +321,11 @@ class TileGrid:
     tile_size: float = 30.0
 
     def __post_init__(self):
-        _require_finite(self.origin_x, "TileGrid.origin_x")
-        _require_finite(self.origin_y, "TileGrid.origin_y")
-        if self.tile_size <= 0 or not math.isfinite(self.tile_size):
+        for name in ("origin_x", "origin_y", "tile_size"):
+            value = getattr(self, name)
+            if not math.isfinite(as_real(value)):
+                raise ValidationError(f"TileGrid.{name} must be a finite real number, got {value!r}")
+        if self.tile_size <= 0:
             raise ValidationError(f"tile_size must be positive, got {self.tile_size}")
         for n in (self.n_cols, self.n_rows):
             if isinstance(n, bool) or not isinstance(n, numbers.Integral):

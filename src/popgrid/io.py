@@ -6,6 +6,8 @@ use shortest-exact float formatting, so a write/read cycle reproduces every
 value bit-for-bit. GeoJSON feature collections we emit carry a foreign
 member ``"coordinate_units": "meters"``; readers reject collections whose
 ``crs``/``coordinate_units`` member declares a geographic (degree) system.
+With ``require_projected`` (every CLI command sets it), ``read_admin_units``
+also rejects degree-like coordinates in a collection declaring no meter units.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     FormatError,
     HeaderOrderWarning,
     LevelMismatchError,
@@ -207,31 +210,26 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
-def declared_units(doc: dict) -> str | None:
-    """The collection's declared coordinate units, if any."""
-    for key in ("coordinate_units", "crs"):
-        val = doc.get(key)
-        if val is None:
-            continue
-        return json.dumps(val) if isinstance(val, (dict, list)) else str(val)
-    return None
-
-
-def _reject_geographic(doc: dict, path: str | Path) -> None:
-    declared = declared_units(doc)
-    if declared is None:
-        return
+def _reject_geographic(doc: dict, path: str | Path, units: Sequence[AdminUnit] = ()) -> None:
+    """Reject a collection that declares degrees; given ``units``, also one that
+    declares no meter units while the units' bbox fits in lon/lat ranges."""
+    val = next((doc[k] for k in ("coordinate_units", "crs") if doc.get(k) is not None), "")
+    declared = json.dumps(val) if isinstance(val, (dict, list)) else str(val)
     low = declared.lower()
     if any(tok in low for tok in _GEOGRAPHIC_TOKENS):
         raise ValidationError(
             f"{path}: coordinates declared as geographic degrees ({declared!r}); "
             "popgrid requires a projected meter CRS"
         )
-
-
-def declares_meters(doc: dict) -> bool:
-    declared = declared_units(doc)
-    return declared is not None and any(tok in declared.lower() for tok in _METER_TOKENS)
+    if not units or any(tok in low for tok in _METER_TOKENS):
+        return
+    box = parts_bbox([p for u in units for p in u.geometry])
+    if -180.0 <= box.min_x <= box.max_x <= 180.0 and -90.0 <= box.min_y <= box.max_y <= 90.0:
+        raise ConfigurationError(
+            f"{path}: coordinates fit inside longitude/latitude ranges and the file "
+            "does not declare coordinate_units 'meters'; reproject to a planar meter CRS "
+            "(or add the declaration) before running"
+        )
 
 
 def _features(doc: dict, path: str | Path) -> list[dict]:
@@ -285,12 +283,15 @@ def _required_property(props: object, key: str, where: str) -> object:
     return props[key]
 
 
-def read_admin_units(path: str | Path, expected_level: AdminLevel | str | None = None) -> list[AdminUnit]:
+def read_admin_units(
+    path: str | Path, expected_level: AdminLevel | str | None = None, *, require_projected: bool = False
+) -> list[AdminUnit]:
     """Read admin polygons from a GeoJSON FeatureCollection.
 
     Every feature needs properties ``id``, ``level`` and ``population`` and a
     Polygon/MultiPolygon geometry. When ``expected_level`` is given, all
-    features must carry it; otherwise they must all share one level.
+    features must carry it; otherwise they must all share one level. With
+    ``require_projected``, degree-like coordinates are a ``ConfigurationError``.
     """
     doc = _load_json(path)
     _reject_geographic(doc, path)
@@ -326,6 +327,8 @@ def read_admin_units(path: str | Path, expected_level: AdminLevel | str | None =
             units.append(AdminUnit(id=fid, level=level, geometry=geometry, population=population))
         except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from None
+    if require_projected:
+        _reject_geographic(doc, path, units)
     return units
 
 

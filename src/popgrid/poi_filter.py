@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .geo import Point, TileGrid
+from .geo import Point, TileGrid, as_real
 
 __all__ = ["PoiPoint", "PoiSet", "TileMask", "buffer_count", "dense_pois", "compute_tile_mask"]
 
@@ -139,13 +139,13 @@ class TileMask:
         return np.flatnonzero(~self.retained.reshape(-1))
 
 
-def _check_radius_threshold(radius: float, threshold: int | None = None) -> float:
+def _check_radius_threshold(radius: float, threshold: int = 1) -> float:
     """The radius as a float, once radius and threshold are in range."""
-    r = float(radius) if isinstance(radius, numbers.Real) and not isinstance(radius, bool) else math.nan
+    r = as_real(radius)
     if not (0 < r and r * r < math.inf):
         raise ParameterError(f"radius must be a positive number with a finite square, got {radius!r}")
     whole = isinstance(threshold, numbers.Integral) and not isinstance(threshold, bool)
-    if threshold is not None and not (whole and threshold >= 1):
+    if not (whole and threshold >= 1):
         raise ParameterError(f"threshold must be an integer of at least 1, got {threshold!r}")
     return r
 

@@ -230,6 +230,125 @@ class TestRun:
         truth = synth.generate(synth.ScenarioSpec(seed=42, extent=BBox(0.0, 0.0, 3840.0, 3840.0)))
         synth.score(estimate, truth)  # raises AlignmentError unless the grids match
 
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ({"tile_size": "30"}, "ParameterError"),
+            ({"tile_size": True}, "ParameterError"),
+            ({"tile_size": None}, "ParameterError"),
+            ({"workers": "4"}, "ParameterError"),
+            ({"workers": 2.5}, "ParameterError"),
+            ({"workers": True}, "ParameterError"),
+            ({"admin": 5}, "ConfigurationError"),
+            ({"out": 7}, "ConfigurationError"),
+            ({"origin_x": "0", "origin_y": 0, "n_cols": 32, "n_rows": 32}, "ParameterError"),
+            ({"origin_y": 10**400}, "ParameterError"),
+            ({"poi_radius": 10**310}, "ParameterError"),
+            ({"poi_threshold": None}, "ParameterError"),
+            ({"theta": 0.9}, "ConfigurationError"),
+            ([1, 2], "ConfigurationError"),
+        ],
+        ids=[
+            "tile_size-str",
+            "tile_size-bool",
+            "tile_size-null",
+            "workers-str",
+            "workers-float",
+            "workers-bool",
+            "admin-int",
+            "out-int",
+            "origin_x-str",
+            "origin_y-huge",
+            "poi_radius-huge",
+            "poi_threshold-null",
+            "theta-unknown",
+            "top-level-array",
+        ],
+    )
+    def test_badly_typed_config_exits_two(self, tmp_path, scenario, capsys, config, error):
+        if isinstance(config, dict):
+            paths = {name: scenario[name] for name in ("admin", "poi", "mask")}
+            config = {**paths, "out": str(tmp_path / "o"), **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"ERROR: {error}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_tile_size_flag_exits_two(self, tmp_path, scenario, capsys):
+        assert run_pipeline(scenario, tmp_path / "o", "--tile-size", "nan") == 2
+        assert "ERROR: ParameterError: tile size" in capsys.readouterr().err
+
+    def test_reads_admin_file_once(self, tmp_path, scenario, monkeypatch):
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(Path(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert run_pipeline(scenario, tmp_path / "o") == 0
+        assert reads.count(Path(scenario["admin"])) == 1
+
+
+def write_degree_like_admin(path: Path, **members) -> None:
+    """One unit whose coordinates fit inside lon/lat ranges; ``members`` are
+    added to the collection (e.g. ``coordinate_units``)."""
+    ring = [[74.0, 31.0], [74.5, 31.0], [74.5, 31.5], [74.0, 31.5], [74.0, 31.0]]
+    feature = {
+        "type": "Feature",
+        "properties": {"id": "d1", "level": "circle", "population": 10},
+        "geometry": {"type": "Polygon", "coordinates": [ring]},
+    }
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature], **members}))
+
+
+class TestProjectedAdmin:
+    """Every command that reads admin polygons rejects degree-like ones."""
+
+    @pytest.fixture
+    def argv(self, tmp_path) -> dict:
+        grid = io.Raster(origin_x=74.0, origin_y=31.0, pixel_size=0.25, values=np.ones((2, 2)))
+        io.write_ascii_grid(grid, tmp_path / "grid.asc")
+        (tmp_path / "poi.csv").write_text("x,y,category\n74.1,31.1,shop\n")
+        admin = str(tmp_path / "admin.geojson")
+        return {
+            "validate": ["validate", "--admin", admin],
+            "run": [
+                "run",
+                "--admin",
+                admin,
+                "--poi",
+                str(tmp_path / "poi.csv"),
+                "--mask",
+                str(tmp_path / "grid.asc"),
+                "--out",
+                str(tmp_path / "o"),
+            ],
+            "zonal": ["zonal", "--grid", str(tmp_path / "grid.asc"), "--admin", admin, "--out", str(tmp_path / "z.csv")],
+            "filter-poi": ["filter-poi", "--admin", admin, "--poi", str(tmp_path / "poi.csv"), "--out", str(tmp_path / "m.asc")],
+        }
+
+    @pytest.mark.parametrize("command", ["validate", "run", "zonal", "filter-poi"])
+    def test_degree_like_admin_exits_two_until_meters_declared(self, tmp_path, argv, command, capsys):
+        admin = tmp_path / "admin.geojson"
+        write_degree_like_admin(admin)
+        assert main(argv[command]) == 2
+        captured = capsys.readouterr()
+        message = f"ERROR: ConfigurationError: {admin}: coordinates fit inside longitude/latitude ranges"
+        assert message in captured.out + captured.err
+        assert not any((tmp_path / name).exists() for name in ("o", "z.csv", "m.asc"))
+        write_degree_like_admin(admin, coordinate_units="meters")
+        assert main(argv[command]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run", "filter-poi"])
+    def test_admin_without_units_exits_two(self, tmp_path, argv, command, capsys):
+        (tmp_path / "admin.geojson").write_text('{"type": "FeatureCollection", "features": []}')
+        assert main(argv[command]) == 2
+        captured = capsys.readouterr()
+        assert "ERROR: ValidationError: no polygons" in captured.out + captured.err
+
 
 class TestFilterPoi:
     def test_explicit_grid(self, tmp_path, scenario):

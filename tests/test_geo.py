@@ -14,6 +14,7 @@ from popgrid.geo import (
     Polygon,
     TileGrid,
     distance,
+    parts_bbox,
     point_in_polygon,
     points_in_polygon,
     rectangle,
@@ -158,6 +159,11 @@ class TestBBox:
         assert not a.intersects(BBox(11, 0, 20, 10))
 
 
+def test_parts_bbox_of_no_parts_is_a_validation_error():
+    with pytest.raises(ValidationError, match="no polygons"):
+        parts_bbox([])
+
+
 class TestTileGrid:
     grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=10, n_rows=10, tile_size=30.0)
 
@@ -176,6 +182,26 @@ class TestTileGrid:
             TileGrid(origin_x=0, origin_y=0, n_cols=0, n_rows=5)
         with pytest.raises(ValidationError):
             TileGrid(origin_x=0, origin_y=0, n_cols=5, n_rows=5, tile_size=0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"origin_x": "0"},
+            {"origin_y": True},
+            {"origin_x": None},
+            {"origin_y": float("nan")},
+            {"tile_size": "30"},
+            {"tile_size": False},
+            {"tile_size": float("inf")},
+        ],
+    )
+    def test_origin_and_tile_size_must_be_finite_reals(self, bad):
+        with pytest.raises(ValidationError, match="origin|tile_size"):
+            TileGrid(**{"origin_x": 0.0, "origin_y": 0.0, "n_cols": 2, "n_rows": 2, "tile_size": 30.0, **bad})
+
+    def test_numpy_scalars_accepted(self):
+        grid = TileGrid(origin_x=np.float64(0.5), origin_y=np.int64(-3), n_cols=2, n_rows=2, tile_size=np.float32(30))
+        assert grid.max_x == 60.5
 
     @given(
         st.floats(min_value=0, max_value=299.9999, allow_nan=False),

@@ -8,6 +8,7 @@ import pytest
 
 from popgrid import io
 from popgrid.errors import (
+    ConfigurationError,
     FormatError,
     GeometryError,
     HeaderOrderWarning,
@@ -79,6 +80,40 @@ class TestReadAdminUnits:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="degrees"):
             io.read_admin_units(p)
+
+    def test_require_projected_rejects_degree_like_coordinates(self, tmp_path, data_dir):
+        ring = [[74.0, 31.0], [74.5, 31.0], [74.5, 31.5], [74.0, 31.5], [74.0, 31.0]]
+        feature = {
+            "type": "Feature",
+            "properties": {"id": "d1", "level": "circle", "population": 10},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        }
+        doc = {"type": "FeatureCollection", "features": [feature]}
+        p = tmp_path / "degrees.geojson"
+        p.write_text(json.dumps(doc))
+        assert len(io.read_admin_units(p)) == 1  # library default: no degree-like check
+        with pytest.raises(ConfigurationError) as err:
+            io.read_admin_units(p, require_projected=True)
+        assert str(err.value) == (
+            f"{p}: coordinates fit inside longitude/latitude ranges and the file "
+            "does not declare coordinate_units 'meters'; reproject to a planar meter CRS "
+            "(or add the declaration) before running"
+        )
+        for members in ({"coordinate_units": "meters"}, {"crs": {"type": "name", "properties": {"name": "UTM 43N"}}}):
+            p.write_text(json.dumps({**doc, **members}))
+            assert len(io.read_admin_units(p, require_projected=True)) == 1
+        # a collection with no units has no coordinates to judge
+        p.write_text(json.dumps({**doc, "features": []}))
+        assert io.read_admin_units(p, require_projected=True) == []
+        assert len(io.read_admin_units(data_dir / "admin.geojson", require_projected=True)) > 0
+
+    def test_require_projected_keeps_declared_degrees_a_validation_error(self, tmp_path, data_dir):
+        doc = json.loads((data_dir / "admin.geojson").read_text())
+        doc["coordinate_units"] = "WGS84 degrees"
+        p = tmp_path / "a.geojson"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="declared as geographic degrees"):
+            io.read_admin_units(p, require_projected=True)
 
     def test_multipolygon(self, tmp_path):
         doc = {

@@ -317,6 +317,16 @@ class TestParameterValidation:
             with pytest.raises(ParameterError, match="radius"):
                 call()
 
+    def test_radius_beyond_float_range(self):
+        with pytest.raises(ParameterError, match="radius"):
+            dense_pois(self.pois, 10**310, 5)
+        with pytest.raises(ParameterError, match="radius"):
+            self.pois.buffer_counts(-(10**400))
+
+    def test_missing_threshold(self):
+        with pytest.raises(ParameterError, match="threshold"):
+            dense_pois(self.pois, 500.0, None)
+
     @pytest.mark.parametrize("threshold", [True, 2.5, 5.0, "5", 0, -1])
     def test_bad_threshold(self, threshold):
         with pytest.raises(ParameterError, match="threshold"):
