@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import disaggregate, evaluate, io, render, synth
-from .errors import AlignmentError, ConfigurationError, ParameterError, PopgridError
+from .errors import AlignmentError, ConfigurationError, ParameterError, PopgridError, ValidationError
 from .geo import BBox, TileGrid, as_real, parts_bbox
 from .poi_filter import compute_tile_mask
 
@@ -147,7 +147,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             except (PopgridError, OSError) as e:
                 errors.append(f"{type(e).__name__}: {e}")
         if admin_box is not None and mask_raster is not None:
-            if not admin_box.intersects(mask_raster.extent()):
+            if not admin_box.intersects(mask_raster.grid.extent()):
                 errors.append("admin polygons and built-up mask have disjoint extents")
     warns.extend(str(w.message) for w in caught)
     if not (args.admin or args.poi or args.mask):
@@ -172,6 +172,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"run needs --{name} (or a config file entry)")
     t0 = time.perf_counter()
     units = io.read_admin_units(cfg.admin, expected_level=cfg.level, require_projected=True)
+    if not units:
+        raise ValidationError(f"no polygons in {cfg.admin}: run needs at least one admin unit")
     pois = io.read_poi(cfg.poi)
     mask = io.BinaryRaster.from_raster(io.read_ascii_grid(cfg.mask))
     grid = _derive_grid(cfg, units)
@@ -236,7 +238,7 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     predicted = io.read_ascii_grid(args.predicted)
     reference = io.read_ascii_grid(args.reference)
-    if predicted.geometry_equal(reference):
+    if predicted.grid.geometry_equal(reference.grid):
         counts = evaluate.confusion(predicted, reference)
     elif predicted.pixel_size < reference.pixel_size:
         ratio = reference.pixel_size / predicted.pixel_size
@@ -251,14 +253,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "predicted raster cannot be downsampled onto the reference grid "
                 "(origins must match and cell sizes nest evenly)"
             )
-        grid = TileGrid(
-            origin_x=reference.origin_x,
-            origin_y=reference.origin_y,
-            n_cols=reference.n_cols,
-            n_rows=reference.n_rows,
-            tile_size=reference.pixel_size,
-        )
-        coarse = evaluate.downsample_to_tiles(predicted, grid, theta=args.theta)
+        coarse = evaluate.downsample_to_tiles(predicted, reference.grid, theta=args.theta)
         counts = evaluate.confusion(coarse, reference)
     else:
         raise AlignmentError(

@@ -134,7 +134,7 @@ def _check_inputs(mask: BinaryRaster, grid: TileGrid, tile_mask: TileMask) -> No
         raise ConfigurationError(
             f"pixel size {mask.pixel_size} is coarser than tile size {grid.tile_size}"
         )
-    if not mask.extent().intersects(grid.extent()):
+    if not mask.grid.extent().intersects(grid.extent()):
         raise ConfigurationError("built-up raster extent does not overlap the grid extent")
 
 
@@ -147,8 +147,7 @@ def assign_pixels(
     """Route each valid built pixel to its tile and its first containing unit."""
     _check_inputs(mask, grid, tile_mask)
     built = (mask.values == 1) & ~mask.nodata
-    pixels = TileGrid(mask.origin_x, mask.origin_y, mask.n_cols, mask.n_rows, mask.pixel_size)
-    owner, overlap = first_owners(pixels, [u.geometry for u in units], where=built.reshape(-1))
+    owner, overlap = first_owners(mask.grid, [u.geometry for u in units], where=built.reshape(-1))
     rr, cc = np.nonzero(built)
     unit_of = owner.reshape(built.shape)[rr, cc]
     del owner
@@ -188,14 +187,20 @@ def assign_pixels(
     )
 
 
-def _anchor_tile(grid: TileGrid, parts: Sequence[Polygon]) -> tuple[int, int]:
-    """Tile of the geometry's representative point, clamped into the grid."""
+def _spread_evenly(values: np.ndarray, grid: TileGrid, parts: Sequence[Polygon], pop: float) -> float:
+    """Add ``pop`` to the flat ``values`` evenly over the tiles whose centers
+    ``parts`` hold, else all on the tile of its representative point (clamped
+    into the grid); return the amount added."""
+    tiles = tile_centers_in_parts(grid, parts)
+    if tiles.size > 0:
+        share = pop / tiles.size
+        values[tiles] += share
+        return float(share * tiles.size)
     rp = representative_point(parts)
-    c = math.floor((rp.x - grid.origin_x) / grid.tile_size)
-    r = math.floor((rp.y - grid.origin_y) / grid.tile_size)
-    c = min(max(c, 0), grid.n_cols - 1)
-    r = min(max(r, 0), grid.n_rows - 1)
-    return int(c), int(r)
+    c = min(max(math.floor((rp.x - grid.origin_x) / grid.tile_size), 0), grid.n_cols - 1)
+    r = min(max(math.floor((rp.y - grid.origin_y) / grid.tile_size), 0), grid.n_rows - 1)
+    values[r * grid.n_cols + c] += pop
+    return pop
 
 
 def allocate(
@@ -209,34 +214,21 @@ def allocate(
     grid = assignment.grid
     values = np.zeros(grid.n_tiles, dtype=np.float64)
     rows = []
-    fallback_units = 0
     for tally, unit in zip(assignment.tallies, units):
         pop = unit.population
         total = tally.total_retained_built
-        fallback = False
         if total > 0:
             contrib = pop * tally.retained_counts.astype(np.float64) / float(total)
             values[tally.retained_tiles] += contrib
             pop_out = float(contrib.sum())
         else:
-            fallback = True
-            center_tiles = tile_centers_in_parts(grid, unit.geometry)
-            if center_tiles.size > 0:
-                share = pop / center_tiles.size
-                values[center_tiles] += share
-                pop_out = float(share * center_tiles.size)
-            else:
-                c, r = _anchor_tile(grid, unit.geometry)
-                values[r * grid.n_cols + c] += pop
-                pop_out = pop
-        if fallback:
-            fallback_units += 1
+            pop_out = _spread_evenly(values, grid, unit.geometry, pop)
         rows.append(
             UnitAllocation(
                 unit_id=unit.id,
                 population_in=pop,
                 population_out=pop_out,
-                fallback_used=fallback,
+                fallback_used=total == 0,
                 retained_tiles=int(tally.retained_tiles.size),
                 excluded_tiles=int(tally.excluded_tiles.size),
             )
@@ -245,7 +237,7 @@ def allocate(
         units=tuple(rows),
         population_in_total=float(sum(u.population for u in units)),
         population_out_total=float(values.sum()),
-        fallback_units=fallback_units,
+        fallback_units=sum(r.fallback_used for r in rows),
         overlap_pixels=assignment.overlap_pixels,
     )
     pop_grid = PopulationGrid(grid=grid, values=values.reshape(grid.n_rows, grid.n_cols))
@@ -270,12 +262,7 @@ def allocate_uniform(grid: TileGrid, units: Sequence[AdminUnit]) -> PopulationGr
     """
     values = np.zeros(grid.n_tiles, dtype=np.float64)
     for unit in units:
-        tiles = tile_centers_in_parts(grid, unit.geometry)
-        if tiles.size > 0:
-            values[tiles] += unit.population / tiles.size
-        else:
-            c, r = _anchor_tile(grid, unit.geometry)
-            values[r * grid.n_cols + c] += unit.population
+        _spread_evenly(values, grid, unit.geometry, unit.population)
     return PopulationGrid(grid=grid, values=values.reshape(grid.n_rows, grid.n_cols))
 
 

@@ -74,12 +74,9 @@ def confusion(predicted: Raster, reference: Raster) -> ConfusionCounts:
     The rasters must share origin, pixel size and dimensions exactly; cells
     that are nodata in either raster are skipped.
     """
-    if not predicted.geometry_equal(reference):
+    if not predicted.grid.geometry_equal(reference.grid):
         raise AlignmentError(
-            "predicted and reference rasters do not share grid geometry "
-            f"(({predicted.origin_x}, {predicted.origin_y}, {predicted.pixel_size}, "
-            f"{predicted.values.shape}) vs ({reference.origin_x}, {reference.origin_y}, "
-            f"{reference.pixel_size}, {reference.values.shape}))"
+            f"predicted and reference rasters do not share grid geometry ({predicted.grid} vs {reference.grid})"
         )
     valid = ~predicted.nodata & ~reference.nodata
     p = (predicted.values != 0) & valid
@@ -134,13 +131,7 @@ def downsample_to_tiles(raster: Raster, grid: TileGrid, theta: float = 0.5) -> R
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = built_per_tile / valid_per_tile
     values = np.where(~nodata & (frac >= theta), 1.0, 0.0)
-    return Raster(
-        origin_x=grid.origin_x,
-        origin_y=grid.origin_y,
-        pixel_size=grid.tile_size,
-        values=values.reshape(grid.n_rows, grid.n_cols),
-        nodata=nodata.reshape(grid.n_rows, grid.n_cols),
-    )
+    return Raster.on(grid, values.reshape(grid.n_rows, grid.n_cols), nodata.reshape(grid.n_rows, grid.n_cols))
 
 
 @dataclass(frozen=True)
@@ -167,12 +158,7 @@ def zonal_stats(
     grid = pop.grid
     flat_pop = pop.values.reshape(-1)
     if built is not None:
-        if (
-            built.origin_x != grid.origin_x
-            or built.origin_y != grid.origin_y
-            or built.pixel_size != grid.tile_size
-            or built.values.shape != (grid.n_rows, grid.n_cols)
-        ):
+        if not built.grid.geometry_equal(grid):
             raise AlignmentError("built raster does not match the population grid geometry")
         built_flat = (built.values.reshape(-1) != 0) & ~built.nodata.reshape(-1)
     else:

@@ -32,6 +32,8 @@ TileId = tuple[int, int]  # (col, row)
 def as_real(value: object) -> float:
     """``value`` as a float: NaN unless it is a real number other than a bool,
     infinite for an int beyond the float range."""
+    if isinstance(value, float):  # the common case (numpy floats too), without the slower ABC check
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return math.nan
     try:
@@ -41,9 +43,9 @@ def as_real(value: object) -> float:
 
 
 def _require_finite(value: float, what: str) -> float:
-    v = float(value)
+    v = as_real(value)
     if not math.isfinite(v):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+        raise ValidationError(f"{what} must be a finite real number, got {value!r}")
     return v
 
 
@@ -119,13 +121,7 @@ class BBox:
 
 def _normalize_ring(ring: Sequence, what: str) -> tuple[Point, ...]:
     """Normalize a ring to an open tuple of Points (no repeated last vertex)."""
-    pts = []
-    for v in ring:
-        if isinstance(v, Point):
-            pts.append(v)
-        else:
-            x, y = v[0], v[1]
-            pts.append(Point(float(x), float(y)))
+    pts = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in ring]
     if len(pts) >= 2 and pts[0].x == pts[-1].x and pts[0].y == pts[-1].y:
         pts = pts[:-1]
     distinct = {(p.x, p.y) for p in pts}
@@ -322,9 +318,7 @@ class TileGrid:
 
     def __post_init__(self):
         for name in ("origin_x", "origin_y", "tile_size"):
-            value = getattr(self, name)
-            if not math.isfinite(as_real(value)):
-                raise ValidationError(f"TileGrid.{name} must be a finite real number, got {value!r}")
+            _require_finite(getattr(self, name), f"TileGrid.{name}")
         if self.tile_size <= 0:
             raise ValidationError(f"tile_size must be positive, got {self.tile_size}")
         for n in (self.n_cols, self.n_rows):

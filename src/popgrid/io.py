@@ -1,6 +1,11 @@
 """File formats: admin polygons (GeoJSON), POIs (GeoJSON/CSV), rasters
 (ESRI ASCII grid), and report output (JSON/CSV).
 
+A raster's cells are a :class:`TileGrid` (``Raster.grid``), and
+``Raster.on(grid, values)`` builds a raster on a grid; these are the only
+two bridges between the descriptions, so a raster with a non-finite origin
+or cell size, or an empty axis, cannot be built.
+
 Coordinates are projected meters throughout. Files written by this module
 use shortest-exact float formatting, so a write/read cycle reproduces every
 value bit-for-bit. GeoJSON feature collections we emit carry a foreign
@@ -86,8 +91,10 @@ class AdminUnit:
 class Raster:
     """A georeferenced value grid; row 0 is the southernmost row.
 
-    Pixel (c, r) is centered at (origin_x + (c+0.5)*pixel_size,
-    origin_y + (r+0.5)*pixel_size). ``nodata`` masks missing cells.
+    Its cells are the tiles of ``grid``, a :class:`TileGrid` built (and so
+    checked) at construction: pixel (c, r) is centered at
+    (origin_x + (c+0.5)*pixel_size, origin_y + (r+0.5)*pixel_size).
+    ``nodata`` masks missing cells.
     """
 
     origin_x: float
@@ -96,6 +103,7 @@ class Raster:
     values: np.ndarray
     nodata: np.ndarray = field(default=None)  # type: ignore[assignment]
     nodata_value: float = -9999.0
+    grid: TileGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -107,36 +115,30 @@ class Raster:
         nodata = np.asarray(nodata, dtype=bool)
         if nodata.shape != values.shape:
             raise ValidationError("nodata mask shape does not match values")
-        if self.pixel_size <= 0 or not math.isfinite(self.pixel_size):
-            raise ValidationError(f"pixel_size must be positive, got {self.pixel_size}")
+        grid = TileGrid(self.origin_x, self.origin_y, values.shape[1], values.shape[0], self.pixel_size)
         values.setflags(write=False)
         nodata.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "nodata", nodata)
+        object.__setattr__(self, "grid", grid)
+
+    @classmethod
+    def on(cls, grid: TileGrid, values, nodata=None, nodata_value: float = -9999.0):
+        """A raster whose cells are the tiles of ``grid``."""
+        raster = cls(grid.origin_x, grid.origin_y, grid.tile_size, values, nodata, nodata_value)
+        if raster.grid != grid:
+            raise ValidationError(
+                f"raster values shape {raster.values.shape} does not match grid {grid.n_rows}x{grid.n_cols}"
+            )
+        return raster
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.grid.n_rows
 
     @property
     def n_cols(self) -> int:
-        return self.values.shape[1]
-
-    def extent(self) -> BBox:
-        return BBox(
-            self.origin_x,
-            self.origin_y,
-            self.origin_x + self.n_cols * self.pixel_size,
-            self.origin_y + self.n_rows * self.pixel_size,
-        )
-
-    def geometry_equal(self, other: "Raster") -> bool:
-        return (
-            self.origin_x == other.origin_x
-            and self.origin_y == other.origin_y
-            and self.pixel_size == other.pixel_size
-            and self.values.shape == other.values.shape
-        )
+        return self.grid.n_cols
 
 
 class BinaryRaster(Raster):
@@ -153,14 +155,7 @@ class BinaryRaster(Raster):
 
     @classmethod
     def from_raster(cls, raster: Raster) -> "BinaryRaster":
-        return cls(
-            origin_x=raster.origin_x,
-            origin_y=raster.origin_y,
-            pixel_size=raster.pixel_size,
-            values=np.asarray(raster.values),
-            nodata=raster.nodata,
-            nodata_value=raster.nodata_value,
-        )
+        return cls.on(raster.grid, raster.values, raster.nodata, raster.nodata_value)
 
 
 @dataclass(frozen=True)
@@ -186,12 +181,7 @@ class PopulationGrid:
         return float(self.values.sum())
 
     def as_raster(self) -> Raster:
-        return Raster(
-            origin_x=self.grid.origin_x,
-            origin_y=self.grid.origin_y,
-            pixel_size=self.grid.tile_size,
-            values=self.values,
-        )
+        return Raster.on(self.grid, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +235,9 @@ def _coord_pair(value: object, where: str) -> Point:
     if not isinstance(value, (list, tuple)) or len(value) < 2:
         raise SchemaError(f"{where}: coordinate must be an [x, y] array, got {value!r}")
     try:
-        x = float(value[0])
-        y = float(value[1])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: non-numeric coordinate {value!r}") from None
-    return Point(x, y)
+        return Point(value[0], value[1])
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from None
 
 
 def _polygon_from_rings(rings: object, where: str) -> Polygon:
@@ -500,7 +488,7 @@ def read_ascii_grid(path: str | Path) -> Raster:
             stacklevel=2,
         )
     for key in ("ncols", "nrows"):
-        if header[key] != int(header[key]) or int(header[key]) < 1:
+        if not header[key].is_integer() or header[key] < 1:
             raise FormatError(f"{path}: {key.upper()} must be a positive integer, got {header[key]}")
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
@@ -519,14 +507,10 @@ def read_ascii_grid(path: str | Path) -> Raster:
     nodata_value = header["nodata_value"]
     nodata = values == nodata_value
     values = np.where(nodata, 0.0, values)
-    return Raster(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        pixel_size=cellsize,
-        values=values,
-        nodata=nodata,
-        nodata_value=nodata_value,
-    )
+    try:
+        return Raster(header["xllcorner"], header["yllcorner"], cellsize, values, nodata, nodata_value)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def _format_value(v: float, as_int: bool) -> str:
@@ -580,12 +564,7 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
 
 def raster_from_tile_mask(mask: TileMask) -> Raster:
     """Retained flags as a 0/1 raster at tile resolution (1 = retained)."""
-    return Raster(
-        origin_x=mask.grid.origin_x,
-        origin_y=mask.grid.origin_y,
-        pixel_size=mask.grid.tile_size,
-        values=mask.retained.astype(np.float64),
-    )
+    return Raster.on(mask.grid, mask.retained.astype(np.float64))
 
 
 def population_grid_from_raster(raster: Raster) -> PopulationGrid:
@@ -593,15 +572,8 @@ def population_grid_from_raster(raster: Raster) -> PopulationGrid:
 
     Nodata cells become 0; negative values are rejected.
     """
-    grid = TileGrid(
-        origin_x=raster.origin_x,
-        origin_y=raster.origin_y,
-        n_cols=raster.n_cols,
-        n_rows=raster.n_rows,
-        tile_size=raster.pixel_size,
-    )
     values = np.where(raster.nodata, 0.0, np.asarray(raster.values, dtype=np.float64))
-    return PopulationGrid(grid=grid, values=values)
+    return PopulationGrid(grid=raster.grid, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -325,18 +325,9 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
             )
         )
 
-    mask = BinaryRaster(
-        origin_x=grid.origin_x,
-        origin_y=grid.origin_y,
-        pixel_size=spec.pixel_size,
-        values=built,
-    )
-    pixel_raster = Raster(
-        origin_x=grid.origin_x,
-        origin_y=grid.origin_y,
-        pixel_size=spec.pixel_size,
-        values=pixel_pop,
-    )
+    pixels = TileGrid(grid.origin_x, grid.origin_y, pcols, prows, spec.pixel_size)
+    mask = BinaryRaster.on(pixels, built)
+    pixel_raster = Raster.on(pixels, pixel_pop)
     flat_poi_tiles = frozenset(
         int(i) for i in np.flatnonzero(poi_tile_mask.reshape(-1))
     )

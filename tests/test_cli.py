@@ -128,6 +128,27 @@ class TestValidate:
     def test_nothing_to_validate(self):
         assert main(["validate"]) == 2
 
+    @pytest.mark.parametrize("vertex", [[10**400, 0.0], ["1", "2"], [True, 0.0]], ids=["overflow", "str", "bool"])
+    def test_bad_coordinate_exits_two(self, tmp_path, vertex, capsys):
+        ring = [[0.0, 0.0], vertex, [120.0, 120.0], [0.0, 120.0], [0.0, 0.0]]
+        doc = {
+            "type": "FeatureCollection",
+            "coordinate_units": "meters",
+            "features": [
+                {
+                    "type": "Feature",
+                    "properties": {"id": "c1", "level": "circle", "population": 10},
+                    "geometry": {"type": "Polygon", "coordinates": [ring]},
+                }
+            ],
+        }
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--admin", str(bad), "--json"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "errors"
+        assert out["errors"][0].startswith(f"ValidationError: {bad}: feature 'c1': Point.")
+
 
 class TestRun:
     def test_conserves_and_reruns_identically(self, tmp_path, scenario):
@@ -342,12 +363,54 @@ class TestProjectedAdmin:
         write_degree_like_admin(admin, coordinate_units="meters")
         assert main(argv[command]) == 0
 
+    def test_admin_without_units_exits_two_with_explicit_grid(self, tmp_path, scenario, capsys):
+        empty = tmp_path / "empty.geojson"
+        empty.write_text('{"type": "FeatureCollection", "coordinate_units": "meters", "features": []}')
+        assert run_pipeline({**scenario, "admin": str(empty)}, tmp_path / "o") == 2
+        assert "ERROR: ValidationError: no polygons" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["validate", "run", "filter-poi"])
     def test_admin_without_units_exits_two(self, tmp_path, argv, command, capsys):
         (tmp_path / "admin.geojson").write_text('{"type": "FeatureCollection", "features": []}')
         assert main(argv[command]) == 2
         captured = capsys.readouterr()
         assert "ERROR: ValidationError: no polygons" in captured.out + captured.err
+
+
+def write_nan_origin_grid(path: Path, source: str) -> None:
+    text = Path(source).read_text()
+    path.write_text(text.replace("XLLCORNER 0.0\n", "XLLCORNER nan\n", 1))
+
+
+class TestNonFiniteGrid:
+    """A grid file whose XLLCORNER is NaN cannot become a raster, in any command."""
+
+    def test_validate_reports_it_in_its_own_object(self, tmp_path, scenario, capsys):
+        nan_grid = tmp_path / "nan.asc"
+        write_nan_origin_grid(nan_grid, scenario["mask"])
+        for extra in ([], ["--admin", scenario["admin"]]):
+            assert main(["validate", "--json", "--mask", str(nan_grid), *extra]) == 2
+            out = json.loads(capsys.readouterr().out)
+            assert out["status"] == "errors"
+            assert out["errors"] == [f"ValidationError: {nan_grid}: TileGrid.origin_x must be a finite real number, got nan"]
+            assert "mask" not in out["checked"]
+
+    @pytest.mark.parametrize("command", ["render", "zonal", "evaluate", "run"])
+    def test_command_exits_two(self, tmp_path, scenario, command, capsys):
+        nan_grid = tmp_path / "nan.asc"
+        write_nan_origin_grid(nan_grid, scenario["mask"])
+        argv = {
+            "render": ["render", "--grid", str(nan_grid), "--out", str(tmp_path / "h.pgm")],
+            "zonal": ["zonal", "--grid", str(nan_grid), "--admin", scenario["admin"], "--out", str(tmp_path / "z.csv")],
+            "evaluate": ["evaluate", "--predicted", str(nan_grid), "--reference", scenario["mask"]],
+            "run": ["run", "--admin", scenario["admin"], "--poi", scenario["poi"], "--mask", str(nan_grid),
+                    "--out", str(tmp_path / "o")],
+        }[command]
+        assert main(argv) == 2
+        message = f"ERROR: ValidationError: {nan_grid}: TileGrid.origin_x must be a finite real number, got nan"
+        assert message in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in ("h.pgm", "z.csv", "o"))
 
 
 class TestFilterPoi:

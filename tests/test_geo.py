@@ -37,6 +37,21 @@ class TestPoint:
         with pytest.raises(ValidationError):
             Point(0.0, float("inf"))
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [("1", "2"), (True, 0.0), (0.0, None), (10**400, 0.0), (0.0, -(10**400))],
+        ids=["str", "bool", "none", "overflow-x", "overflow-y"],
+    )
+    def test_rejects_non_reals_and_overflowing_ints(self, x, y):
+        with pytest.raises(ValidationError, match="finite real number"):
+            Point(x, y)
+
+    def test_ring_vertices_get_the_same_check(self):
+        with pytest.raises(ValidationError):
+            Polygon(exterior=((0, 0), ("1", 0), (1, 1)))
+        with pytest.raises(ValidationError):
+            Polygon(exterior=((0, 0), (10**400, 0), (1, 1)))
+
 
 class TestDistance:
     def test_three_four_five(self):

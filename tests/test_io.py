@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,59 @@ class TestAsciiGrid:
         assert r.values.tolist() == [[1.0, 0.0], [1.0, 1.0]]
 
 
+class TestRasterGrid:
+    """``Raster.grid`` and ``Raster.on`` are the bridges between a raster and
+    the TileGrid of its cells."""
+
+    def test_on_reproduces_rasters_field_for_field(self):
+        rng = np.random.default_rng(23)
+        for cls in (io.Raster, io.BinaryRaster):
+            for _ in range(25):
+                shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+                r = cls(
+                    origin_x=float(rng.uniform(-1e6, 1e6)),
+                    origin_y=float(rng.uniform(-1e6, 1e6)),
+                    pixel_size=float(rng.uniform(0.01, 1000.0)),
+                    values=rng.integers(0, 2, size=shape).astype(np.float64),
+                    nodata=rng.random(shape) < 0.2,
+                    nodata_value=float(rng.uniform(-1e4, 0.0)),
+                )
+                back = cls.on(r.grid, r.values, r.nodata, r.nodata_value)
+                assert type(back) is cls
+                for f in fields(io.Raster):
+                    mine, theirs = getattr(back, f.name), getattr(r, f.name)
+                    if isinstance(mine, np.ndarray):
+                        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+                    else:
+                        assert mine == theirs, f.name
+                assert (r.grid.n_cols, r.grid.n_rows) == (shape[1], shape[0])
+                assert r.grid.tile_size == r.pixel_size
+
+    def test_on_rejects_values_of_another_shape(self):
+        grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=3, n_rows=2, tile_size=30.0)
+        with pytest.raises(ValidationError, match="does not match grid"):
+            io.Raster.on(grid, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"origin_x": float("nan")},
+            {"origin_y": float("inf")},
+            {"origin_x": -float("inf")},
+            {"pixel_size": True},
+            {"pixel_size": "30"},
+            {"pixel_size": float("nan")},
+            {"pixel_size": 0.0},
+            {"values": np.zeros((0, 3))},
+            {"values": np.zeros((3, 0))},
+        ],
+    )
+    def test_constructor_rejects_a_lattice_tilegrid_rejects(self, bad):
+        kwargs = {"origin_x": 0.0, "origin_y": 0.0, "pixel_size": 30.0, "values": np.zeros((2, 3)), **bad}
+        with pytest.raises(ValidationError):
+            io.Raster(**kwargs)
+
+
 class TestGoldenFuzz:
     """Every schema-breaking mutation of a golden file must raise the
     contracted error class."""
@@ -387,6 +441,11 @@ class TestGoldenFuzz:
             lambda d: d["features"][0]["geometry"].update(coordinates=[[[0, 0], ["x", 1], [1, 1], [0, 1]]]),
             ValidationError,
         )
+        for bad in (["1", "2"], [10**400, 1], [1, True]):
+            variant(
+                lambda d, bad=bad: d["features"][0]["geometry"].update(coordinates=[[[0, 0], bad, [1, 1], [0, 1]]]),
+                ValidationError,
+            )
         variant(lambda d: d.update(type="FeatureList"), SchemaError)
         variant(lambda d: d.update(features={}), SchemaError)
         for text, expected in cases:
@@ -409,6 +468,11 @@ class TestGoldenFuzz:
             ("\n".join(base.splitlines()[:-1]) + "\n", TruncationError),
             (base + "0 1\n", TruncationError),
             (base.replace("NCOLS 8\n", "NCOLS 8\nNCOLS 8\n"), FormatError),
+            (base.replace("NCOLS 8", "NCOLS nan"), FormatError),
+            (base.replace("NROWS 8", "NROWS inf"), FormatError),
+            (base.replace("XLLCORNER 0.0", "XLLCORNER nan"), ValidationError),
+            (base.replace("YLLCORNER 0.0", "YLLCORNER -inf"), ValidationError),
+            (base.replace("CELLSIZE 15.0", "CELLSIZE nan"), ValidationError),
         ]
         for text, expected in cases:
             p = tmp_path / "fuzz.asc"
@@ -437,11 +501,12 @@ class TestGoldenFuzz:
         p.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
             io.read_poi(p)
-        doc = json.loads(json.dumps(base))
-        doc["features"][0]["geometry"]["coordinates"] = ["x", 1]
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError):
-            io.read_poi(p)
+        for bad in (["x", 1], ["1", "2"], [10**400, 1], [False, 1]):
+            doc = json.loads(json.dumps(base))
+            doc["features"][0]["geometry"]["coordinates"] = bad
+            p.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError):
+                io.read_poi(p)
 
     def test_every_error_is_a_popgrid_error(self):
         for cls in (SchemaError, ValidationError, FormatError, TruncationError, ParseError):
