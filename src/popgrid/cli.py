@@ -238,7 +238,7 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     predicted = io.read_ascii_grid(args.predicted)
     reference = io.read_ascii_grid(args.reference)
-    if predicted.grid.geometry_equal(reference.grid):
+    if predicted.grid == reference.grid:
         counts = evaluate.confusion(predicted, reference)
     elif predicted.pixel_size < reference.pixel_size:
         ratio = reference.pixel_size / predicted.pixel_size

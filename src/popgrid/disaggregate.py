@@ -128,7 +128,7 @@ class AllocationReport:
 
 
 def _check_inputs(mask: BinaryRaster, grid: TileGrid, tile_mask: TileMask) -> None:
-    if not tile_mask.grid.geometry_equal(grid):
+    if tile_mask.grid != grid:
         raise AlignmentError("tile mask grid does not match the allocation grid")
     if mask.pixel_size > grid.tile_size:
         raise ConfigurationError(

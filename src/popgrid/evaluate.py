@@ -74,7 +74,7 @@ def confusion(predicted: Raster, reference: Raster) -> ConfusionCounts:
     The rasters must share origin, pixel size and dimensions exactly; cells
     that are nodata in either raster are skipped.
     """
-    if not predicted.grid.geometry_equal(reference.grid):
+    if predicted.grid != reference.grid:
         raise AlignmentError(
             f"predicted and reference rasters do not share grid geometry ({predicted.grid} vs {reference.grid})"
         )
@@ -158,7 +158,7 @@ def zonal_stats(
     grid = pop.grid
     flat_pop = pop.values.reshape(-1)
     if built is not None:
-        if not built.grid.geometry_equal(grid):
+        if built.grid != grid:
             raise AlignmentError("built raster does not match the population grid geometry")
         built_flat = (built.values.reshape(-1) != 0) & ~built.nodata.reshape(-1)
     else:

@@ -370,15 +370,6 @@ class TileGrid:
             self.origin_y + (row + 0.5) * self.tile_size,
         )
 
-    def geometry_equal(self, other: "TileGrid") -> bool:
-        return (
-            self.origin_x == other.origin_x
-            and self.origin_y == other.origin_y
-            and self.tile_size == other.tile_size
-            and self.n_cols == other.n_cols
-            and self.n_rows == other.n_rows
-        )
-
 
 def tile_index_of(grid: TileGrid, p: Point) -> TileId | None:
     """Module-level alias for :meth:`TileGrid.tile_index_of`."""

@@ -1,10 +1,14 @@
 """Deterministic synthetic cities with per-pixel ground-truth population.
 
 The generator is a pure function of the scenario seed, driven by a Philox
-counter-based RNG. Units form a rectangular partition of the (tile-snapped)
-extent; built pixels cluster around smooth density bumps; POI clusters sit
-on built patches and carry no residential population, so the density rule
-should fire on exactly those tiles.
+counter-based RNG. Units form a partition of the (tile-snapped) extent held
+as one integer label per tile; a pixel takes its tile's label, and every
+per-unit step (built pixels, POI placement, pixel population) works on each
+label's flat index list. The labels are painted from guillotine rectangles
+today, and only the unit polygons depend on that. Built pixels cluster
+around smooth density bumps; POI clusters sit on built patches and carry no
+residential population, so the density rule should fire on exactly those
+tiles.
 
 Pixel populations are quantized to multiples of 2**-20 persons. Sums of
 such values stay exact in double precision at any realistic magnitude, so
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from .disaggregate import AllocationReport, allocate_uniform, run_disaggregation
 from .errors import AlignmentError, GenerationError, ValidationError
-from .geo import BBox, Point, TileGrid, rectangle
+from .geo import BBox, Point, TileGrid, _require_finite, rectangle
 from .io import (
     AdminLevel,
     AdminUnit,
@@ -61,6 +65,11 @@ class ScenarioSpec:
     n_scattered_pois: int = 0
 
     def __post_init__(self):
+        for name in ("tile_size", "pixel_size"):
+            _require_finite(getattr(self, name), f"ScenarioSpec.{name}")
+        for name in ("built_fraction_range", "population_range"):
+            for end in getattr(self, name):
+                _require_finite(end, f"each end of ScenarioSpec.{name}")
         for name in ("built_fraction_range", "poi_cluster_size_range", "population_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -195,22 +204,21 @@ def _place_clusters(
     return points
 
 
+def _members(labels: np.ndarray, n: int) -> list[np.ndarray]:
+    """Flat indices of each label 0..n-1 in ``labels``, ascending (row-major)."""
+    flat = labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(flat, minlength=n))[:-1])
+
+
 def generate(spec: ScenarioSpec) -> GroundTruth:
     """Build the scenario deterministically from the seed."""
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     n_cols = math.floor(spec.extent.width / spec.tile_size)
     n_rows = math.floor(spec.extent.height / spec.tile_size)
     if n_cols < 1 or n_rows < 1:
-        raise GenerationError(
-            f"extent {spec.extent} holds no whole {spec.tile_size} m tile"
-        )
-    grid = TileGrid(
-        origin_x=spec.extent.min_x,
-        origin_y=spec.extent.min_y,
-        n_cols=n_cols,
-        n_rows=n_rows,
-        tile_size=spec.tile_size,
-    )
+        raise GenerationError(f"extent {spec.extent} holds no whole {spec.tile_size} m tile")
+    grid = TileGrid(spec.extent.min_x, spec.extent.min_y, n_cols, n_rows, spec.tile_size)
     if spec.n_units > grid.n_tiles:
         raise GenerationError(f"{spec.n_units} units do not fit in {grid.n_tiles} tiles")
     if spec.built_fraction_range[1] == 0 and spec.population_range[1] > 0:
@@ -221,131 +229,100 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
     pcols = n_cols * ratio
 
     rects = _partition(rng, n_cols, n_rows, spec.n_units)
-    field = _bump_field(rng, prows, pcols, n_bumps=max(3, min(8, spec.n_units)))
+    field = _bump_field(rng, prows, pcols, n_bumps=max(3, min(8, spec.n_units))).ravel()
 
-    built = np.zeros((prows, pcols), dtype=np.uint8)
+    # The partition is one label per tile; a pixel takes its tile's label.
+    tile_label = np.empty((n_rows, n_cols), dtype=np.min_scalar_type(spec.n_units))
+    for k, (c0, r0, w, h) in enumerate(rects):
+        tile_label[r0 : r0 + h, c0 : c0 + w] = k
+    pixel_label = tile_label.repeat(ratio, axis=0).repeat(ratio, axis=1)
+    unit_pixels = _members(pixel_label, spec.n_units)
+
+    built = np.zeros(prows * pcols, dtype=np.uint8)
     lo_f, hi_f = spec.built_fraction_range
     may_populate = spec.population_range[1] > 0
-    for c0, r0, w, h in rects:
-        sl = (slice(r0 * ratio, (r0 + h) * ratio), slice(c0 * ratio, (c0 + w) * ratio))
-        local = field[sl]
-        n_px = local.size
+    for px in unit_pixels:
         frac = rng.uniform(lo_f, hi_f)
-        k = int(round(frac * n_px))
+        k = int(round(frac * px.size))
         if may_populate and hi_f > 0:
             k = max(1, k)  # every populated unit needs a home pixel
-        if k <= 0:
-            continue
-        order = np.argsort(-local.ravel(), kind="stable")[:k]
-        flat = built[sl].copy().ravel()
-        flat[order] = 1
-        built[sl] = flat.reshape(local.shape)
+        if k > 0:
+            built[px[np.argsort(-field[px], kind="stable")[:k]]] = 1
 
-    built_tile = built.reshape(n_rows, ratio, n_cols, ratio).any(axis=(1, 3))
-    built_tiles_per_unit = []
-    for c0, r0, w, h in rects:
-        sub = built_tile[r0 : r0 + h, c0 : c0 + w]
-        rr, cc = np.nonzero(sub)
-        built_tiles_per_unit.append(((rr + r0) * n_cols + (cc + c0)).astype(np.int64))
+    built_tile = built.reshape(n_rows, ratio, n_cols, ratio).any(axis=(1, 3)).ravel()
+    built_tiles_per_unit = [t[built_tile[t]] for t in _members(tile_label, spec.n_units)]
 
     cluster_points: list[PoiPoint] = []
-    poi_tile_mask = np.zeros((n_rows, n_cols), dtype=bool)
-    for attempt in range(_PLACEMENT_ROUNDS):
+    poi_tile = np.zeros(grid.n_tiles, dtype=bool)
+    for _ in range(_PLACEMENT_ROUNDS):
         cluster_points = _place_clusters(rng, spec, grid, built_tiles_per_unit)
-        poi_tile_mask[:] = False
-        for p in cluster_points:
-            idx = grid.tile_index_of(p.location)
-            if idx is not None:
-                poi_tile_mask[idx[1], idx[0]] = True
-        if not may_populate:
-            break
-        # every unit must keep a residential built pixel for its population
-        commercial_px = np.repeat(np.repeat(poi_tile_mask, ratio, axis=0), ratio, axis=1)
-        ok = True
-        for c0, r0, w, h in rects:
-            sl = (slice(r0 * ratio, (r0 + h) * ratio), slice(c0 * ratio, (c0 + w) * ratio))
-            if not np.any((built[sl] == 1) & ~commercial_px[sl]):
-                ok = False
-                break
-        if ok:
+        cols, rows, inside = grid.tile_indices_of(
+            [p.location.x for p in cluster_points], [p.location.y for p in cluster_points]
+        )
+        poi_tile[:] = False
+        poi_tile[grid.flat_index(cols[inside], rows[inside])] = True
+        # every unit must keep a residential built pixel for its population,
+        # that is a built tile that holds no cluster POI
+        homes = np.bincount(tile_label.ravel()[built_tile & ~poi_tile], minlength=spec.n_units)
+        if not may_populate or homes.all():
             break
     else:
         raise GenerationError(
             "could not place POI clusters without starving a unit of residential pixels"
         )
 
-    scattered: list[PoiPoint] = []
-    for _ in range(spec.n_scattered_pois):
-        scattered.append(
-            PoiPoint(
-                location=Point(
-                    rng.uniform(spec.extent.min_x, spec.extent.max_x),
-                    rng.uniform(spec.extent.min_y, spec.extent.max_y),
-                ),
-                category=str(rng.choice(_CATEGORIES)),
-            )
+    e = spec.extent
+    scattered = [
+        PoiPoint(
+            Point(rng.uniform(e.min_x, e.max_x), rng.uniform(e.min_y, e.max_y)),
+            str(rng.choice(_CATEGORIES)),
         )
+        for _ in range(spec.n_scattered_pois)
+    ]
 
-    commercial_px = np.repeat(np.repeat(poi_tile_mask, ratio, axis=0), ratio, axis=1)
-    pixel_pop = np.zeros((prows, pcols), dtype=np.float64)
-    units = []
+    commercial = poi_tile.reshape(n_rows, n_cols).repeat(ratio, axis=0).repeat(ratio, axis=1)
+    residential = (built == 1) & ~commercial.ravel()
+    pixel_pop = np.zeros(prows * pcols, dtype=np.float64)
+    populations = []
     lo_p, hi_p = spec.population_range
-    for k, (c0, r0, w, h) in enumerate(rects):
-        sl = (slice(r0 * ratio, (r0 + h) * ratio), slice(c0 * ratio, (c0 + w) * ratio))
-        residential = (built[sl] == 1) & ~commercial_px[sl]
-        idx = np.flatnonzero(residential.ravel())
+    for px in unit_pixels:
         target = math.floor(rng.uniform(lo_p, hi_p) / _QUANTUM) * _QUANTUM
-        if idx.size == 0 or target <= 0:
-            population = 0.0
-            if target > 0:
-                raise GenerationError(f"unit {k} has population but no residential pixel")
-        else:
-            weights = field[sl].ravel()[idx] + 0.25
+        if target > 0:  # the placement loop left the unit a residential pixel
+            idx = px[residential[px]]
+            weights = field[idx] + 0.25
             raw = target * weights / float(weights.sum())
             vals = np.floor(raw / _QUANTUM) * _QUANTUM
-            residual = target - float(vals.sum())
-            vals[int(np.argmax(weights))] += residual
-            local = pixel_pop[sl].copy().ravel()
-            local[idx] = vals
-            pixel_pop[sl] = local.reshape(residential.shape)
-            population = target
-        units.append(
-            AdminUnit(
-                id=f"u{k:03d}",
-                level=AdminLevel.CIRCLE,
-                geometry=(
-                    rectangle(
-                        grid.origin_x + c0 * spec.tile_size,
-                        grid.origin_y + r0 * spec.tile_size,
-                        grid.origin_x + (c0 + w) * spec.tile_size,
-                        grid.origin_y + (r0 + h) * spec.tile_size,
-                    ),
-                ),
-                population=population,
-            )
+            vals[int(np.argmax(weights))] += target - float(vals.sum())
+            pixel_pop[idx] = vals
+        populations.append(target)
+
+    x0, y0, ts = grid.origin_x, grid.origin_y, spec.tile_size
+    units = tuple(
+        AdminUnit(
+            id=f"u{k:03d}",
+            level=AdminLevel.CIRCLE,
+            geometry=(rectangle(x0 + c0 * ts, y0 + r0 * ts, x0 + (c0 + w) * ts, y0 + (r0 + h) * ts),),
+            population=population,
         )
+        for k, ((c0, r0, w, h), population) in enumerate(zip(rects, populations))
+    )
 
     pixels = TileGrid(grid.origin_x, grid.origin_y, pcols, prows, spec.pixel_size)
-    mask = BinaryRaster.on(pixels, built)
-    pixel_raster = Raster.on(pixels, pixel_pop)
-    flat_poi_tiles = frozenset(
-        int(i) for i in np.flatnonzero(poi_tile_mask.reshape(-1))
-    )
     return GroundTruth(
         spec=spec,
         grid=grid,
-        units=tuple(units),
+        units=units,
         pois=PoiSet(cluster_points + scattered),
-        mask=mask,
-        pixel_population=pixel_raster,
-        poi_tiles=flat_poi_tiles,
+        mask=BinaryRaster.on(pixels, built.reshape(prows, pcols)),
+        pixel_population=Raster.on(pixels, pixel_pop.reshape(prows, pcols)),
+        poi_tiles=frozenset(int(i) for i in np.flatnonzero(poi_tile)),
     )
 
 
 def score(estimate: PopulationGrid, truth: GroundTruth) -> ScoreResult:
     """Per-tile MAE/RMSE against the aggregated ground truth."""
     truth_tiles = truth.tile_population()
-    if not estimate.grid.geometry_equal(truth.grid):
+    if estimate.grid != truth.grid:
         raise AlignmentError("estimate grid does not match the ground-truth grid")
     diff = estimate.values - truth_tiles.values
     mae = float(np.mean(np.abs(diff)))
@@ -382,25 +359,11 @@ def write_scenario(truth: GroundTruth, out_dir: str | Path) -> dict[str, str]:
     write_poi_geojson(truth.pois, paths["poi"])
     write_ascii_grid(truth.mask, paths["mask"])
     write_ascii_grid(truth.tile_population(), paths["truth_tiles"])
-    spec = truth.spec
+    e = truth.spec.extent
     meta = {
-        "seed": spec.seed,
-        "extent": [spec.extent.min_x, spec.extent.min_y, spec.extent.max_x, spec.extent.max_y],
-        "n_units": spec.n_units,
-        "built_fraction_range": list(spec.built_fraction_range),
-        "n_poi_clusters": spec.n_poi_clusters,
-        "poi_cluster_size_range": list(spec.poi_cluster_size_range),
-        "population_range": list(spec.population_range),
-        "tile_size": spec.tile_size,
-        "pixel_size": spec.pixel_size,
-        "n_scattered_pois": spec.n_scattered_pois,
-        "grid": {
-            "origin_x": truth.grid.origin_x,
-            "origin_y": truth.grid.origin_y,
-            "n_cols": truth.grid.n_cols,
-            "n_rows": truth.grid.n_rows,
-            "tile_size": truth.grid.tile_size,
-        },
+        **asdict(truth.spec),
+        "extent": [e.min_x, e.min_y, e.max_x, e.max_y],
+        "grid": asdict(truth.grid),
         "total_population": truth.total_population(),
         "n_pois": len(truth.pois),
     }

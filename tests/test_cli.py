@@ -599,6 +599,15 @@ class TestSynthCommand:
         for name in ("admin.geojson", "poi.geojson", "mask.asc", "truth_tiles.asc", "scenario.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--pixel-size", "nan"), ("--tile-size", "inf"), ("--built-lo", "nan"), ("--pop-lo", "nan"), ("--pop-hi", "inf")],
+    )
+    def test_non_finite_size_or_range_exits_two(self, tmp_path, capsys, flag, value):
+        assert main(["synth", "--seed", "1", "--out", str(tmp_path / "x"), flag, value]) == 2
+        assert "ERROR: ValidationError: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_infeasible_spec_exits_two(self, tmp_path):
         rc = main(
             [

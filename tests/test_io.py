@@ -282,7 +282,7 @@ class TestAsciiGrid:
         p = tmp_path / "pop.asc"
         io.write_ascii_grid(pg, p)
         back = io.population_grid_from_raster(io.read_ascii_grid(p))
-        assert back.grid.geometry_equal(grid)
+        assert back.grid == grid
         assert np.array_equal(back.values, pg.values)
 
     def test_integer_values_with_fractional_nodata_value(self, tmp_path):

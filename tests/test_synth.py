@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from popgrid import io, synth
 from popgrid.errors import AlignmentError, GenerationError, ValidationError
 from popgrid.geo import BBox, points_in_any
+
+
+NAN = float("nan")
+INF = float("inf")
 
 
 def small_spec(seed: int, **kw) -> synth.ScenarioSpec:
@@ -24,6 +32,25 @@ class TestSpecValidation:
             synth.ScenarioSpec(seed=1, population_range=(-5, 10))
         with pytest.raises(ValidationError):
             synth.ScenarioSpec(seed=1, n_units=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tile_size", NAN),
+            ("tile_size", INF),
+            ("pixel_size", NAN),
+            ("pixel_size", -INF),
+            ("built_fraction_range", (NAN, 0.5)),
+            ("built_fraction_range", (0.1, NAN)),
+            ("built_fraction_range", (-INF, 0.5)),
+            ("population_range", (NAN, 10.0)),
+            ("population_range", (0.0, NAN)),
+            ("population_range", (0.0, INF)),
+        ],
+    )
+    def test_non_finite_sizes_and_ranges(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a finite real number"):
+            synth.ScenarioSpec(seed=1, **{field: value})
 
     def test_pixel_must_divide_tile(self):
         with pytest.raises(ValidationError):
@@ -87,6 +114,15 @@ class TestGroundTruthInvariants:
         commercial_px = np.repeat(np.repeat(poi_tile_mask, ratio, axis=0), ratio, axis=1)
         assert not populated[commercial_px].any()
 
+    def test_members_are_each_labels_row_major_indices(self):
+        rng = np.random.default_rng(5)
+        for shape, n in [((7, 11), 4), ((1, 1), 1), ((40, 30), 300)]:
+            labels = rng.integers(0, n, size=shape).astype(np.min_scalar_type(n))
+            members = synth._members(labels, n + 2)  # two labels with no cells
+            assert len(members) == n + 2
+            for k, idx in enumerate(members):
+                assert np.array_equal(idx, np.flatnonzero(labels == k))
+
     def test_units_partition_extent(self):
         truth = synth.generate(small_spec(4))
         total_area = sum(part.area for u in truth.units for part in u.geometry)
@@ -104,6 +140,30 @@ class TestGroundTruthInvariants:
         truth = synth.generate(small_spec(6))
         mask = compute_tile_mask(truth.grid, truth.pois, 500.0, 5)
         assert set(mask.excluded_flat().tolist()) == set(truth.poi_tiles)
+
+
+class TestZeroPopulation:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(seed=30),
+            dict(seed=31, n_units=1, n_poi_clusters=1),
+            dict(seed=32, n_units=9, built_fraction_range=(0.0, 0.3), n_poi_clusters=4),
+            dict(seed=33, built_fraction_range=(0.0, 0.0), n_poi_clusters=0),
+            dict(seed=34, built_fraction_range=(1.0, 1.0), n_poi_clusters=3),
+        ],
+    )
+    def test_units_and_pixels_hold_nobody(self, kw):
+        truth = synth.generate(small_spec(population_range=(0.0, 0.0), n_scattered_pois=0, **kw))
+        assert [u.population for u in truth.units] == [0.0] * truth.spec.n_units
+        assert not truth.pixel_population.values.any()
+        holding = set()
+        for p in truth.pois:
+            idx = truth.grid.tile_index_of(p.location)
+            if idx is not None:
+                holding.add(idx[1] * truth.grid.n_cols + idx[0])
+        assert truth.poi_tiles == holding
+        assert holding or truth.spec.n_poi_clusters == 0
 
 
 class TestScore:
@@ -140,6 +200,29 @@ class TestScore:
 
 
 class TestWriteScenario:
+    def test_scenario_json_layout(self, tmp_path):
+        spec = small_spec(22, extent=BBox(-90.0, 30.0, 870.0, 510.0), n_scattered_pois=7)
+        truth = synth.generate(spec)
+        meta = json.loads(Path(synth.write_scenario(truth, tmp_path / "s")["meta"]).read_text())
+        names = [f.name for f in dataclasses.fields(synth.ScenarioSpec)]
+        assert list(meta) == names + ["grid", "total_population", "n_pois"]
+        assert meta["extent"] == [-90.0, 30.0, 870.0, 510.0]
+        for name in names:
+            if name != "extent":
+                value = getattr(spec, name)
+                assert meta[name] == (list(value) if isinstance(value, tuple) else value)
+        g = truth.grid
+        assert meta["grid"] == {
+            "origin_x": g.origin_x,
+            "origin_y": g.origin_y,
+            "n_cols": g.n_cols,
+            "n_rows": g.n_rows,
+            "tile_size": g.tile_size,
+        }
+        assert list(meta["grid"]) == ["origin_x", "origin_y", "n_cols", "n_rows", "tile_size"]
+        assert meta["total_population"] == truth.total_population()
+        assert meta["n_pois"] == len(truth.pois)
+
     def test_outputs_are_consumable(self, tmp_path):
         truth = synth.generate(small_spec(21))
         paths = synth.write_scenario(truth, tmp_path / "s")
