@@ -236,8 +236,8 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    predicted = io.read_ascii_grid(args.predicted)
-    reference = io.read_ascii_grid(args.reference)
+    predicted = io.BinaryRaster.from_raster(io.read_ascii_grid(args.predicted))
+    reference = io.BinaryRaster.from_raster(io.read_ascii_grid(args.reference))
     if predicted.grid == reference.grid:
         counts = evaluate.confusion(predicted, reference)
     elif predicted.pixel_size < reference.pixel_size:
@@ -329,12 +329,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, with_mask: bool = True) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring the pipeline settings")
     p.add_argument("--admin", help="admin polygons (GeoJSON)")
     p.add_argument("--poi", help="POI points (GeoJSON or CSV)")
-    if with_mask:
-        p.add_argument("--mask", help="built-up mask (ESRI ASCII grid)")
+    p.add_argument("--mask", help="built-up mask (ESRI ASCII grid)")
     p.add_argument("--out", help="output path")
     p.add_argument("--level", default=None, help="admin level of the input (default circle)")
     p.add_argument("--tile-size", dest="tile_size", type=float, default=None)

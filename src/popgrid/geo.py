@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,17 +82,6 @@ class BBox:
             raise ValidationError(
                 f"BBox min must not exceed max: ({self.min_x}, {self.min_y}, {self.max_x}, {self.max_y})"
             )
-
-    @classmethod
-    def of_points(cls, xs: Iterable[float], ys: Iterable[float]) -> "BBox":
-        xs = list(xs)
-        ys = list(ys)
-        if not xs or not ys:
-            raise ValidationError("BBox.of_points needs at least one point")
-        return cls(min(xs), min(ys), max(xs), max(ys))
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
 
     def intersects(self, other: "BBox") -> bool:
         return not (
@@ -156,11 +145,10 @@ class Polygon:
             "holes",
             tuple(_normalize_ring(h, f"hole ring {i}") for i, h in enumerate(self.holes)),
         )
-        if abs(_ring_signed_area(*_ring_arrays(self.exterior))) <= 0.0:
-            raise GeometryError("exterior ring has zero area")
-        for i, h in enumerate(self.holes):
-            if abs(_ring_signed_area(*_ring_arrays(h))) <= 0.0:
-                raise GeometryError(f"hole ring {i} has zero area")
+        for i, (xs, ys) in enumerate(self._rings):
+            if abs(_ring_signed_area(xs, ys)) <= 0.0:
+                ring = "exterior ring" if i == 0 else f"hole ring {i - 1}"
+                raise GeometryError(f"{ring} has zero area")
 
     @cached_property
     def _rings(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

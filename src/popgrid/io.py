@@ -13,6 +13,9 @@ member ``"coordinate_units": "meters"``; readers reject collections whose
 ``crs``/``coordinate_units`` member declares a geographic (degree) system.
 With ``require_projected`` (every CLI command sets it), ``read_admin_units``
 also rejects degree-like coordinates in a collection declaring no meter units.
+
+ESRI ASCII grids are written a whole row at a time under one formatting rule
+per grid, and read from one whitespace split of the text after the header.
 """
 
 from __future__ import annotations
@@ -456,7 +459,6 @@ def read_ascii_grid(path: str | Path) -> Raster:
     lines = text.splitlines()
     header: dict[str, float] = {}
     order: list[str] = []
-    body_start = 0
     for line_no, line in enumerate(lines):
         stripped = line.strip()
         if not stripped:
@@ -475,7 +477,6 @@ def read_ascii_grid(path: str | Path) -> Raster:
                     f"{path}: header key {parts[0]!r} has non-numeric value {parts[1]!r}"
                 ) from None
             order.append(key)
-            body_start = line_no + 1
         else:
             break
     missing = [k for k in _ASCII_HEADER_KEYS if k not in header]
@@ -495,28 +496,42 @@ def read_ascii_grid(path: str | Path) -> Raster:
     cellsize = header["cellsize"]
     if cellsize <= 0:
         raise FormatError(f"{path}: CELLSIZE must be positive, got {cellsize}")
-    tokens = "\n".join(lines[body_start:]).split()
+    # An accepted header line holds two tokens, a skipped one none, and every
+    # line separator is whitespace to str.split: the rest are the body's.
+    del lines
+    tokens = text.split()
+    del text
+    del tokens[: 2 * len(header)]
     expected = n_cols * n_rows
     if len(tokens) != expected:
         raise TruncationError(f"{path}: expected {expected} values, found {len(tokens)}")
+    # Parse in file order (the first bad value is named) into the south-up array,
+    # made while the tokens live: freeing them first raises malloc's mmap
+    # threshold, puts the array on the heap and raised the peak RSS of `run`.
+    values = np.empty((n_rows, n_cols))
+    cells = map(float, tokens)
     try:
-        flat = np.fromiter(map(float, tokens), dtype=np.float64, count=expected)
+        for r in range(n_rows - 1, -1, -1):  # file is top row first; store south-up
+            values[r] = np.fromiter(cells, np.float64, n_cols)
     except ValueError as e:
         raise FormatError(f"{path}: non-numeric grid value ({e})") from None
-    values = flat.reshape(n_rows, n_cols)[::-1]  # file is top row first; store south-up
+    del cells, tokens
     nodata_value = header["nodata_value"]
     nodata = values == nodata_value
-    values = np.where(nodata, 0.0, values)
+    values[nodata] = 0.0
     try:
         return Raster(header["xllcorner"], header["yllcorner"], cellsize, values, nodata, nodata_value)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
 
-def _format_value(v: float, as_int: bool) -> str:
-    if as_int:
-        return str(int(v))
-    return repr(float(v))
+def _row_formatter(values: np.ndarray):
+    """The row formatter for a grid of ``values``: ``str`` of the int64 cast
+    when every value is an integer below 2**53 in magnitude, else
+    shortest-exact ``repr``."""
+    if np.isfinite(values).all() and (values == np.floor(values)).all() and (np.abs(values) < 2**53).all():
+        return lambda row: map(str, row.astype(np.int64).tolist())
+    return lambda row: map(repr, row.tolist())
 
 
 def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
@@ -524,41 +539,27 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
 
     Integer-valued grids are written as integers; reals use shortest exact
     float formatting so a read of the written file reproduces each value
-    bit-for-bit.
+    bit-for-bit. The rule is chosen once for the whole grid, and once for
+    the nodata value on its own.
     """
-    if isinstance(obj, PopulationGrid):
-        raster = obj.as_raster()
-    else:
-        raster = obj
+    raster = obj.as_raster() if isinstance(obj, PopulationGrid) else obj
     values = np.asarray(raster.values, dtype=np.float64)
-    as_int = (
-        bool(np.all(np.isfinite(values)))
-        and bool(np.all(values == np.floor(values)))
-        and bool(np.all(np.abs(values) < 2**53))
-    )
-    nodata_value = raster.nodata_value
-    na_token = _format_value(
-        nodata_value,
-        math.isfinite(nodata_value)
-        and nodata_value == int(nodata_value)
-        and abs(nodata_value) < 2**53,
-    )
-    out = []
-    out.append(f"NCOLS {raster.n_cols}")
-    out.append(f"NROWS {raster.n_rows}")
-    out.append(f"XLLCORNER {repr(float(raster.origin_x))}")
-    out.append(f"YLLCORNER {repr(float(raster.origin_y))}")
-    out.append(f"CELLSIZE {repr(float(raster.pixel_size))}")
-    out.append(f"NODATA_VALUE {na_token}")
-    nodata = raster.nodata
-    for r in range(raster.n_rows - 1, -1, -1):  # top row first
-        row_vals = values[r]
-        row_na = nodata[r]
-        cells = [
-            na_token if row_na[c] else _format_value(row_vals[c], as_int)
-            for c in range(raster.n_cols)
-        ]
-        out.append(" ".join(cells))
+    na = np.array([raster.nodata_value], dtype=np.float64)
+    (na_token,) = _row_formatter(na)(na)
+    out = [
+        f"NCOLS {raster.n_cols}",
+        f"NROWS {raster.n_rows}",
+        f"XLLCORNER {repr(float(raster.origin_x))}",
+        f"YLLCORNER {repr(float(raster.origin_y))}",
+        f"CELLSIZE {repr(float(raster.pixel_size))}",
+        f"NODATA_VALUE {na_token}",
+    ]
+    format_row = _row_formatter(values)
+    for row, row_na in zip(values[::-1], raster.nodata[::-1]):  # top row first
+        tokens = list(format_row(row))
+        for c in np.flatnonzero(row_na).tolist():
+            tokens[c] = na_token
+        out.append(" ".join(tokens))
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

@@ -47,6 +47,7 @@ _QUANTUM = 2.0**-20
 _CLUSTER_DISC_RADIUS = 250.0  # all members within one default-radius buffer
 _CATEGORIES = ("market", "school", "office", "mall", "clinic", "warehouse")
 _PLACEMENT_ROUNDS = 20
+_MAX_PIXELS = 2**24  # 16x the 1024 x 1024 benchmark city; a larger lattice is refused unallocated
 
 
 @dataclass(frozen=True)
@@ -214,19 +215,23 @@ def _members(labels: np.ndarray, n: int) -> list[np.ndarray]:
 def generate(spec: ScenarioSpec) -> GroundTruth:
     """Build the scenario deterministically from the seed."""
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    n_cols = math.floor(spec.extent.width / spec.tile_size)
-    n_rows = math.floor(spec.extent.height / spec.tile_size)
+    cap = _MAX_PIXELS + 1  # an overflowing quotient still floors, and still exceeds the limit
+    n_cols = math.floor(min(spec.extent.width / spec.tile_size, cap))
+    n_rows = math.floor(min(spec.extent.height / spec.tile_size, cap))
     if n_cols < 1 or n_rows < 1:
         raise GenerationError(f"extent {spec.extent} holds no whole {spec.tile_size} m tile")
+    ratio = round(spec.tile_size / spec.pixel_size)
+    prows = n_rows * ratio
+    pcols = n_cols * ratio
+    if prows * pcols > _MAX_PIXELS:
+        raise GenerationError(
+            f"extent {spec.extent} at {spec.pixel_size} m pixels exceeds the {_MAX_PIXELS}-pixel limit"
+        )
     grid = TileGrid(spec.extent.min_x, spec.extent.min_y, n_cols, n_rows, spec.tile_size)
     if spec.n_units > grid.n_tiles:
         raise GenerationError(f"{spec.n_units} units do not fit in {grid.n_tiles} tiles")
     if spec.built_fraction_range[1] == 0 and spec.population_range[1] > 0:
         raise GenerationError("zero built fraction cannot host a nonzero population")
-
-    ratio = round(spec.tile_size / spec.pixel_size)
-    prows = n_rows * ratio
-    pcols = n_cols * ratio
 
     rects = _partition(rng, n_cols, n_rows, spec.n_units)
     field = _bump_field(rng, prows, pcols, n_bumps=max(3, min(8, spec.n_units))).ravel()

@@ -483,6 +483,19 @@ class TestEvaluate:
         saved = json.loads((tmp_path / "m.json").read_text())
         assert saved == payload
 
+    @pytest.mark.parametrize("bad", ["2", "nan"])
+    @pytest.mark.parametrize("role", ["--predicted", "--reference"])
+    def test_non_binary_input_exits_two(self, tmp_path, capsys, bad, role):
+        header = "NCOLS 2\nNROWS 2\nXLLCORNER 0.0\nYLLCORNER 0.0\nCELLSIZE 30.0\nNODATA_VALUE -9999\n"
+        binary, other = tmp_path / "binary.asc", tmp_path / "other.asc"
+        binary.write_text(header + "1 0\n1 1\n")
+        other.write_text(header + f"1 0\n{bad} 1\n")
+        inputs = {"--predicted": str(binary), "--reference": str(binary), role: str(other)}
+        rc = main(["evaluate", *[a for kv in inputs.items() for a in kv], "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "ERROR: ValidationError: binary raster has 1 cells outside {0, 1}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_downsampling_comparison(self, tmp_path, scenario, capsys):
         # reference at tile resolution: downsample the fine mask explicitly
         fine = io.read_ascii_grid(scenario["mask"])
@@ -583,6 +596,16 @@ class TestRender:
         # top row of the image is the northern raster row [2, 4] -> [128, 255]
         assert list(data[-4:]) == [128, 255, 0, 64]
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_data_cell_exits_two(self, tmp_path, capsys, bad):
+        vals = np.array([[0.0, 1.0, -9999.0], [2.0, bad, 4.0]])
+        p = tmp_path / "bad.asc"
+        io.write_ascii_grid(io.Raster(origin_x=0, origin_y=0, pixel_size=30.0, values=vals), p)
+        out = tmp_path / "bad.pgm"
+        assert main(["render", "--grid", str(p), "--out", str(out)]) == 2
+        assert "ERROR: ValidationError: cannot render 1 non-finite data cells" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_writes_consumable_scenario(self, scenario):
@@ -606,6 +629,12 @@ class TestSynthCommand:
     def test_non_finite_size_or_range_exits_two(self, tmp_path, capsys, flag, value):
         assert main(["synth", "--seed", "1", "--out", str(tmp_path / "x"), flag, value]) == 2
         assert "ERROR: ValidationError: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("extent", ["1e300", "1e6"])
+    def test_oversized_extent_exits_two(self, tmp_path, capsys, extent):
+        assert main(["synth", "--seed", "1", "--out", str(tmp_path / "x"), "--extent", extent]) == 2
+        assert "pixel limit" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_infeasible_spec_exits_two(self, tmp_path):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from popgrid import io
 from popgrid.errors import (
@@ -235,7 +238,122 @@ class TestReadPoi:
         assert [q.category for q in back] == [q.category for q in pois]
 
 
+def integral(v) -> bool:
+    """Every value is an integer below 2**53 in magnitude."""
+    return bool(np.all(np.isfinite(v))) and bool(np.all(v == np.floor(v))) and bool(np.all(np.abs(v) < 2**53))
+
+
+def reference_ascii_grid(raster: io.Raster) -> str:
+    """ESRI ASCII grid text written one cell at a time: integers for an
+    ``integral`` grid, else shortest-exact reals, the rule chosen once for
+    the grid and once for the nodata value."""
+
+    def fmt(v: float, as_int: bool) -> str:
+        return str(int(v)) if as_int else repr(float(v))
+
+    values = np.asarray(raster.values, dtype=np.float64)
+    as_int = integral(values)
+    na = fmt(raster.nodata_value, integral(np.float64(raster.nodata_value)))
+    lines = [
+        f"NCOLS {raster.n_cols}",
+        f"NROWS {raster.n_rows}",
+        f"XLLCORNER {float(raster.origin_x)!r}",
+        f"YLLCORNER {float(raster.origin_y)!r}",
+        f"CELLSIZE {float(raster.pixel_size)!r}",
+        f"NODATA_VALUE {na}",
+    ]
+    for r in range(raster.n_rows - 1, -1, -1):
+        cells = (na if raster.nodata[r, c] else fmt(values[r, c], as_int) for c in range(raster.n_cols))
+        lines.append(" ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+SAFE_INT = 2**53 - 1
+_ints = st.integers(-SAFE_INT, SAFE_INT) | st.sampled_from([0, 1, SAFE_INT, -SAFE_INT])
+_integral = _ints.map(float) | st.just(-0.0)
+_reals = st.floats(allow_nan=False)
+# one cell that turns an integer grid into a real one (or, if integral, does not)
+_spoilers = st.sampled_from([2.0**53, -(2.0**53), 0.5, -1.25, 5e-324, math.inf, -math.inf]) | _reals
+_nodata_values = st.sampled_from([-9999.0, -99.5, 0.25, -0.0, 2.0**53]) | _integral | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def grid_rasters(draw) -> io.Raster:
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = n_rows * n_cols
+    cells = st.lists(draw(st.sampled_from([_integral, _reals])), min_size=n, max_size=n)
+    values = np.array(draw(cells), dtype=np.float64).reshape(n_rows, n_cols)
+    spoiler = draw(st.none() | _spoilers)
+    if spoiler is not None:
+        values[draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))] = spoiler
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    coord = st.floats(-1e7, 1e7)
+    return io.Raster(
+        origin_x=draw(coord),
+        origin_y=draw(coord),
+        pixel_size=draw(st.floats(1e-3, 1e4)),
+        values=values,
+        nodata=np.array(draw(flags)).reshape(n_rows, n_cols),
+        nodata_value=draw(_nodata_values),
+    )
+
+
 class TestAsciiGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(raster=grid_rasters())
+    def test_write_matches_per_cell_reference(self, tmp_path_factory, raster):
+        p = tmp_path_factory.mktemp("grid") / "g.asc"
+        io.write_ascii_grid(raster, p)
+        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(raster=grid_rasters())
+    def test_read_of_write_is_bit_equal(self, tmp_path_factory, raster):
+        # a read marks every cell equal to NODATA_VALUE as nodata and zeroes it
+        data = raster.values[~raster.nodata]
+        assume(not np.any(data == raster.nodata_value))
+        raster = io.Raster(
+            raster.origin_x,
+            raster.origin_y,
+            raster.pixel_size,
+            np.where(raster.nodata, 0.0, raster.values),
+            raster.nodata,
+            raster.nodata_value,
+        )
+        p = tmp_path_factory.mktemp("grid") / "g.asc"
+        io.write_ascii_grid(raster, p)
+        back = io.read_ascii_grid(p)
+        expected = raster.values
+        if integral(expected):
+            expected = expected + 0.0  # an integer grid writes -0.0 as 0
+        assert back.values.tobytes() == expected.tobytes()
+        assert np.array_equal(back.nodata, raster.nodata)
+        assert back.grid == raster.grid
+        assert back.nodata_value == raster.nodata_value
+
+    @pytest.mark.parametrize(
+        "sep, header_sep",
+        [
+            ("\r\n", "\r\n"),
+            ("\n", "\n\n  \t\n"),  # blank lines between header lines
+            ("\r\n", "\r\n\r\n \r\n"),
+            ("\f", "\f"),
+            ("\n", "\f\n"),
+            ("\x0b", "\x1c\u2028"),
+        ],
+    )
+    def test_golden_mask_line_separators(self, tmp_path, data_dir, sep, header_sep):
+        lf = io.read_ascii_grid(data_dir / "mask.asc")
+        lines = (data_dir / "mask.asc").read_text().splitlines()
+        p = tmp_path / "m.asc"
+        p.write_bytes((header_sep.join(lines[:6]) + header_sep + sep.join(lines[6:]) + sep).encode("utf-8"))
+        r = io.read_ascii_grid(p)
+        assert r.grid == lf.grid and r.nodata_value == lf.nodata_value
+        assert r.values.tobytes() == lf.values.tobytes()
+        assert np.array_equal(r.nodata, lf.nodata)
+
     def test_golden_mask(self, data_dir):
         r = io.read_ascii_grid(data_dir / "mask.asc")
         assert (r.n_cols, r.n_rows) == (8, 8)
@@ -336,6 +454,15 @@ class TestAsciiGrid:
         p = tmp_path / "n.asc"
         p.write_text(text)
         with pytest.raises(FormatError):
+            io.read_ascii_grid(p)
+
+    def test_first_non_numeric_value_in_file_order_is_named(self, tmp_path, data_dir):
+        lines = (data_dir / "mask.asc").read_text().splitlines()
+        lines[6] = "x" + lines[6][1:]  # top row
+        lines[-1] = "y" + lines[-1][1:]  # bottom row: a parse in south-up order would name it
+        p = tmp_path / "n.asc"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="could not convert string to float: 'x'"):
             io.read_ascii_grid(p)
 
     def test_non_integer_ncols(self, tmp_path, data_dir):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,40 @@ class TestSpecValidation:
             synth.generate(small_spec(1, n_units=5000))
         with pytest.raises(GenerationError):
             synth.generate(synth.ScenarioSpec(seed=1, extent=BBox(0, 0, 10, 10)))
+
+    @pytest.mark.parametrize(
+        "side, tile_size, pixel_size, refused",
+        [
+            (1e300, 30.0, 15.0, True),
+            (1e6, 30.0, 15.0, True),
+            (1e300, 1e-300, 1e-300, True),  # the tile count overflows a float
+            (61470.0, 30.0, 15.0, True),  # 8194 x 8194 pixels
+            (61440.0, 30.0, 15.0, False),  # 8192 x 8192 = 2**24 pixels, the limit
+        ],
+    )
+    def test_pixel_lattice_limit_allocates_nothing(self, monkeypatch, side, tile_size, pixel_size, refused):
+        class Partitioned(Exception):
+            pass
+
+        def partition(*args):
+            raise Partitioned
+
+        monkeypatch.setattr(synth, "_partition", partition)
+        spec = synth.ScenarioSpec(seed=1, extent=BBox(0, 0, side, side), tile_size=tile_size, pixel_size=pixel_size)
+
+        def expected():
+            return pytest.raises(GenerationError, match="pixel limit") if refused else pytest.raises(Partitioned)
+
+        with expected():
+            synth.generate(spec)  # first, untraced: lazy imports allocate too
+        tracemalloc.start()
+        try:
+            with expected():
+                synth.generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestDeterminism:
