@@ -27,6 +27,10 @@ DEFAULT_TILE_SIZE = 30.0
 DEFAULT_POI_RADIUS = 500.0
 DEFAULT_POI_THRESHOLD = 5
 DEFAULT_THETA = 0.5
+# 64x the 512 x 512 tiles of the benchmark city, or about 15,000 km2 of 30 m
+# tiles. `run` holds several tile-sized arrays at once (up to 8 bytes a tile),
+# so a larger grid is refused before any of them exists.
+MAX_TILES = 2**24
 
 
 @dataclass
@@ -94,9 +98,22 @@ def _derive_grid(cfg: PipelineConfig, units=None) -> TileGrid:
         box = parts_bbox([p for u in units for p in u.geometry])
     origin_x = cfg.origin_x if cfg.origin_x is not None else math.floor(box.min_x / ts) * ts
     origin_y = cfg.origin_y if cfg.origin_y is not None else math.floor(box.min_y / ts) * ts
-    n_cols = cfg.n_cols if cfg.n_cols is not None else max(1, math.ceil((box.max_x - origin_x) / ts))
-    n_rows = cfg.n_rows if cfg.n_rows is not None else max(1, math.ceil((box.max_y - origin_y) / ts))
-    return TileGrid(origin_x=origin_x, origin_y=origin_y, n_cols=n_cols, n_rows=n_rows, tile_size=ts)
+    cap = MAX_TILES + 1  # an overflowing quotient still rounds up, and still exceeds the limit
+    n_cols = cfg.n_cols if cfg.n_cols is not None else max(1, math.ceil(min((box.max_x - origin_x) / ts, cap)))
+    n_rows = cfg.n_rows if cfg.n_rows is not None else max(1, math.ceil(min((box.max_y - origin_y) / ts, cap)))
+    grid = TileGrid(origin_x=origin_x, origin_y=origin_y, n_cols=n_cols, n_rows=n_rows, tile_size=ts)
+    if grid.n_tiles > MAX_TILES:
+        raise ParameterError(f"a grid of {n_cols} x {n_rows} tiles exceeds the {MAX_TILES}-tile limit")
+    return grid
+
+
+def _read_binary(path: str) -> io.BinaryRaster:
+    """The 0/1 raster at ``path``; a ValidationError names the file."""
+    raster = io.read_ascii_grid(path)
+    try:
+        return io.BinaryRaster.from_raster(raster)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -138,7 +155,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 errors.append(f"{type(e).__name__}: {e}")
         if args.mask:
             try:
-                mask_raster = io.BinaryRaster.from_raster(io.read_ascii_grid(args.mask))
+                mask_raster = _read_binary(args.mask)
                 checked["mask"] = {
                     "n_cols": mask_raster.n_cols,
                     "n_rows": mask_raster.n_rows,
@@ -175,7 +192,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not units:
         raise ValidationError(f"no polygons in {cfg.admin}: run needs at least one admin unit")
     pois = io.read_poi(cfg.poi)
-    mask = io.BinaryRaster.from_raster(io.read_ascii_grid(cfg.mask))
+    mask = _read_binary(cfg.mask)
     grid = _derive_grid(cfg, units)
     tile_mask = compute_tile_mask(grid, pois, cfg.poi_radius, cfg.poi_threshold)
     pop_grid, report = disaggregate.run_disaggregation(mask, grid, units, tile_mask)
@@ -236,8 +253,8 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    predicted = io.BinaryRaster.from_raster(io.read_ascii_grid(args.predicted))
-    reference = io.BinaryRaster.from_raster(io.read_ascii_grid(args.reference))
+    predicted = _read_binary(args.predicted)
+    reference = _read_binary(args.reference)
     if predicted.grid == reference.grid:
         counts = evaluate.confusion(predicted, reference)
     elif predicted.pixel_size < reference.pixel_size:
@@ -343,7 +360,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--origin-y", dest="origin_y", type=float, default=None)
     p.add_argument("--n-cols", dest="n_cols", type=int, default=None)
     p.add_argument("--n-rows", dest="n_rows", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help="worker count (results are identical for any value)")
+    p.add_argument("--workers", type=int, default=None, help="accepted and ignored: popgrid runs on one thread")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
 

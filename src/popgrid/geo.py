@@ -9,8 +9,8 @@ that fall exactly on a ring edge: the exterior boundary belongs to the
 polygon, a hole boundary does not belong to the hole (i.e. the polygon is
 the closed exterior minus the open interiors of its holes).
 
-The scalar and vectorized membership kernels deliberately perform the same
-floating-point operations in the same order, so bulk classification of
+The bulk membership kernel evaluates the scalar kernel's own expressions,
+each edge on the y-sorted points of its y-band, so bulk classification of
 pixel/tile centers agrees bit-for-bit with the scalar functions.
 """
 
@@ -215,30 +215,25 @@ def _ring_hits(rx: np.ndarray, ry: np.ndarray, px: float, py: float) -> tuple[bo
 def _ring_hits_bulk(
     rx: np.ndarray, ry: np.ndarray, pxs: np.ndarray, pys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_ring_hits`; identical arithmetic per point."""
+    """Vectorized :func:`_ring_hits` on points sorted by ``pys``: each edge tests
+    on-edge only on ``[lo:hi)``, where ``min(y1, y2) <= py <= max(y1, y2)``, and
+    crossing only on ``[lo:mid)``, where ``(y1 > py) != (y2 > py)``."""
     inside = np.zeros(pxs.shape, dtype=bool)
     on_edge = np.zeros(pxs.shape, dtype=bool)
-    n = rx.shape[0]
-    for i in range(n):
-        x1 = rx[i]
-        y1 = ry[i]
-        j = i + 1 if i + 1 < n else 0
-        x2 = rx[j]
-        y2 = ry[j]
-        cross = (x2 - x1) * (pys - y1) - (y2 - y1) * (pxs - x1)
-        on_edge |= (
-            (cross == 0.0)
-            & (min(x1, x2) <= pxs)
-            & (pxs <= max(x1, x2))
-            & (min(y1, y2) <= pys)
-            & (pys <= max(y1, y2))
-        )
-        straddle = (y1 > pys) != (y2 > pys)
-        dy = y2 - y1
-        denom = dy if dy != 0.0 else 1.0  # unused lanes masked by straddle
-        t = (pys - y1) / denom
+    ry2 = np.concatenate((ry[1:], ry[:1]))
+    ymax = np.maximum(ry, ry2)
+    lo, mid = np.searchsorted(pys, (np.minimum(ry, ry2), ymax)).tolist()
+    hi = np.searchsorted(pys, ymax, side="right").tolist()
+    xs, ys = rx.tolist(), ry.tolist()
+    for x1, y1, x2, y2, a, m, b in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1], lo, mid, hi):
+        if a == b:
+            continue
+        px = pxs[a:b]
+        cross = (x2 - x1) * (pys[a:b] - y1) - (y2 - y1) * (px - x1)
+        on_edge[a:b] |= (cross == 0.0) & (min(x1, x2) <= px) & (px <= max(x1, x2))
+        t = (pys[a:m] - y1) / (y2 - y1)
         xi = x1 + t * (x2 - x1)
-        inside ^= straddle & (pxs < xi)
+        inside[a:m] ^= pxs[a:m] < xi
     return inside, on_edge
 
 
@@ -256,15 +251,19 @@ def point_in_polygon(p: Point, poly: Polygon) -> bool:
 
 
 def points_in_polygon(pxs: np.ndarray, pys: np.ndarray, poly: Polygon) -> np.ndarray:
-    """Vectorized :func:`point_in_polygon` over coordinate arrays."""
-    pxs = np.asarray(pxs, dtype=np.float64)
+    """Vectorized :func:`point_in_polygon` over coordinate arrays: the points
+    are sorted by y once, and each ring edge works on its own y-band."""
     pys = np.asarray(pys, dtype=np.float64)
-    rings = poly._rings
-    ext_in, ext_on = _ring_hits_bulk(rings[0][0], rings[0][1], pxs, pys)
-    result = ext_in | ext_on
-    for hx, hy in rings[1:]:
-        h_in, h_on = _ring_hits_bulk(hx, hy, pxs, pys)
-        result &= ~(h_in & ~h_on)
+    order = np.argsort(pys, axis=None, kind="stable")
+    sx = np.asarray(pxs, dtype=np.float64).ravel()[order]
+    sy = pys.ravel()[order]
+    ext_in, ext_on = _ring_hits_bulk(*poly._rings[0], sx, sy)
+    hit = ext_in | ext_on
+    for hx, hy in poly._rings[1:]:
+        h_in, h_on = _ring_hits_bulk(hx, hy, sx, sy)
+        hit &= ~(h_in & ~h_on)
+    result = np.empty(pys.shape, dtype=bool)
+    result.flat[order] = hit
     return result
 
 

@@ -153,7 +153,7 @@ class BinaryRaster(Raster):
         if valid.size and not np.all((valid == 0) | (valid == 1)):
             bad = valid[(valid != 0) & (valid != 1)]
             raise ValidationError(
-                f"binary raster has {bad.size} cells outside {{0, 1}} (e.g. {bad.flat[0]!r})"
+                f"binary raster has {bad.size} cells outside {{0, 1}} (e.g. {float(bad.flat[0])!r})"
             )
 
     @classmethod

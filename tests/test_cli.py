@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popgrid import io, synth
+from popgrid import cli, io, synth
 from popgrid.cli import main
 from popgrid.geo import BBox
 
@@ -300,6 +300,56 @@ class TestRun:
         assert run_pipeline(scenario, tmp_path / "o", "--tile-size", "nan") == 2
         assert "ERROR: ParameterError: tile size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, grid, refused",
+        [
+            ("run", ["--n-cols", str(10**23)], True),
+            ("run", ["--n-cols", str(10**6), "--n-rows", str(10**6)], True),
+            ("run", ["--n-cols", str(2**12), "--n-rows", str(2**12 + 1)], True),
+            ("run", ["--n-cols", str(2**12), "--n-rows", str(2**12)], False),  # 2**24 tiles, the limit
+            ("filter-poi", ["--tile-size", "1e-300"], True),  # derived from the admin extent
+            ("filter-poi", ["--tile-size", "1e-320"], True),  # the derived tile count overflows a float
+        ],
+        ids=["1e23-cols", "1e6-by-1e6", "limit-plus-a-row", "limit", "derived", "derived-overflow"],
+    )
+    def test_grid_over_tile_limit_exits_two_before_tile_arrays(
+        self, tmp_path, scenario, capsys, monkeypatch, command, grid, refused
+    ):
+        class TileMaskReached(Exception):
+            pass
+
+        def compute_tile_mask(*args):
+            raise TileMaskReached
+
+        monkeypatch.setattr(cli, "compute_tile_mask", compute_tile_mask)
+        out = tmp_path / "o"
+        argv = [command, "--admin", scenario["admin"], "--poi", scenario["poi"], "--out", str(out), *grid]
+        if command == "run":
+            argv += ["--mask", scenario["mask"]]
+        if not refused:
+            with pytest.raises(TileMaskReached):
+                main(argv)
+            return
+        assert main(argv) == 2
+        assert "ERROR: ParameterError: a grid of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_binary_mask_error_names_the_file(self, tmp_path, scenario, capsys, command):
+        mask = io.read_ascii_grid(scenario["mask"])
+        values = mask.values.copy()
+        values[0, 0] = 0.5
+        bad = tmp_path / "mask.asc"
+        io.write_ascii_grid(io.Raster.on(mask.grid, values), bad)
+        if command == "run":
+            assert run_pipeline({**scenario, "mask": str(bad)}, tmp_path / "o") == 2
+        else:
+            assert main(["validate", "--mask", str(bad)]) == 2
+        captured = capsys.readouterr()
+        message = captured.err + captured.out
+        assert f"ERROR: ValidationError: {bad}: binary raster has 1 cells outside {{0, 1}} (e.g. 0.5)" in message
+        assert "np.float64" not in message
+
     def test_reads_admin_file_once(self, tmp_path, scenario, monkeypatch):
         reads = []
         read_text = Path.read_text
@@ -493,7 +543,9 @@ class TestEvaluate:
         inputs = {"--predicted": str(binary), "--reference": str(binary), role: str(other)}
         rc = main(["evaluate", *[a for kv in inputs.items() for a in kv], "--out", str(tmp_path / "m.json")])
         assert rc == 2
-        assert "ERROR: ValidationError: binary raster has 1 cells outside {0, 1}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"ERROR: ValidationError: {other}: binary raster has 1 cells outside {{0, 1}} (e.g. {float(bad)!r})" in err
+        assert "np.float64" not in err
         assert not (tmp_path / "m.json").exists()
 
     def test_downsampling_comparison(self, tmp_path, scenario, capsys):

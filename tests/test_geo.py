@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from popgrid.errors import GeometryError, ValidationError
@@ -26,6 +26,39 @@ from popgrid.geo import (
 from conftest import convex_contains, edge_distance, random_convex_polygon, slow_ray_cast
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def lattice_polygons(draw):
+    """A polygon with vertices on a 15 m pixel-center lattice, offset by 0 or
+    about 1e7 m, with zero-length edges, collinear runs and up to two holes,
+    and the lattice points around it, with duplicates, in shuffled order."""
+    ox, oy = (draw(st.sampled_from([0.0, 1e7, -1e7, 9_999_992.5])) for _ in range(2))
+
+    def at(i, j):
+        return ox + (i + 0.5) * 15.0, oy + (j + 0.5) * 15.0
+
+    def ring(lo, hi):
+        cells = draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(lo, hi)), min_size=3, max_size=10))
+        verts = []
+        for (i, j), (k, m) in zip(cells, cells[1:] + cells[:1]):
+            verts.append(at(i, j))
+            if draw(st.booleans()):
+                verts.append(at(i, j))
+            if (k - i) % 2 == 0 and (m - j) % 2 == 0 and draw(st.booleans()):
+                verts.append(at((i + k) // 2, (j + m) // 2))
+        return verts
+
+    exterior = ring(0, 8)
+    holes = [ring(1, 7) for _ in range(draw(st.integers(0, 2)))]
+    try:
+        poly = Polygon(exterior=exterior, holes=holes)
+    except GeometryError:
+        assume(False)
+    cells = [(i, j) for i in range(-1, 10) for j in range(-1, 10)]
+    cells += draw(st.lists(st.sampled_from(cells), max_size=40))
+    xs, ys = np.array([at(i, j) for i, j in draw(st.permutations(cells))]).T
+    return poly, xs, ys
 
 
 class TestPoint:
@@ -160,6 +193,13 @@ class TestPointInPolygon:
         bulk = points_in_polygon(xs, ys, poly)
         scalar = np.array([point_in_polygon(Point(x, y), poly) for x, y in zip(xs, ys)])
         assert np.array_equal(bulk, scalar)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lattice_polygons())
+    def test_vectorized_matches_scalar_on_lattice_polygons(self, case):
+        poly, xs, ys = case
+        bulk = points_in_polygon(xs, ys, poly)
+        assert bulk.tolist() == [point_in_polygon(Point(x, y), poly) for x, y in zip(xs, ys)]
 
 
 class TestBBox:
