@@ -75,12 +75,14 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             overrides[f.name] = value
     if overrides:
         cfg = replace(cfg, **overrides)
-    # n_cols/n_rows (TileGrid), poi_radius/poi_threshold (poi_filter) and
-    # level (AdminLevel) are type-checked where they are used.
+    # n_cols/n_rows (TileGrid) and poi_radius/poi_threshold (poi_filter) are
+    # type-checked where they are used; the level's value by AdminLevel.
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.name in ("admin", "poi", "mask", "out") and value is not None and not isinstance(value, str):
             raise ConfigurationError(f"{f.name} must be a path string, got {value!r}")
+        if f.name == "level" and not isinstance(value, str):
+            raise ConfigurationError(f"level must be an admin level name, got {value!r}")
         if f.name in ("origin_x", "origin_y") and value is not None and not math.isfinite(as_real(value)):
             raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
     if not (math.isfinite(as_real(cfg.tile_size)) and cfg.tile_size > 0):
@@ -90,14 +92,23 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _tile_floor(coord: float, ts: float) -> float:
+    """The tile edge at or below ``coord``; a tile index beyond the float
+    range is refused before ``math.floor`` sees it."""
+    index = coord / ts
+    if not math.isfinite(index):
+        raise ParameterError(f"tile size {ts!r} is too small to place a grid origin at {coord!r}")
+    return math.floor(index) * ts
+
+
 def _derive_grid(cfg: PipelineConfig, units=None) -> TileGrid:
     ts = cfg.tile_size
     if None in (cfg.origin_x, cfg.origin_y, cfg.n_cols, cfg.n_rows):
         if units is None:
             raise ConfigurationError("filter-poi needs --admin or all of --origin-x/--origin-y/--n-cols/--n-rows")
         box = parts_bbox([p for u in units for p in u.geometry])
-    origin_x = cfg.origin_x if cfg.origin_x is not None else math.floor(box.min_x / ts) * ts
-    origin_y = cfg.origin_y if cfg.origin_y is not None else math.floor(box.min_y / ts) * ts
+    origin_x = cfg.origin_x if cfg.origin_x is not None else _tile_floor(box.min_x, ts)
+    origin_y = cfg.origin_y if cfg.origin_y is not None else _tile_floor(box.min_y, ts)
     cap = MAX_TILES + 1  # an overflowing quotient still rounds up, and still exceeds the limit
     n_cols = cfg.n_cols if cfg.n_cols is not None else max(1, math.ceil(min((box.max_x - origin_x) / ts, cap)))
     n_rows = cfg.n_rows if cfg.n_rows is not None else max(1, math.ceil(min((box.max_y - origin_y) / ts, cap)))

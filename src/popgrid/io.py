@@ -14,8 +14,8 @@ member ``"coordinate_units": "meters"``; readers reject collections whose
 With ``require_projected`` (every CLI command sets it), ``read_admin_units``
 also rejects degree-like coordinates in a collection declaring no meter units.
 
-ESRI ASCII grids are written a whole row at a time under one formatting rule
-per grid, and read from one whitespace split of the text after the header.
+ESRI ASCII grids are read a line at a time, never holding a string per cell,
+and written a row at a time under one formatting rule per grid.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -453,38 +454,38 @@ def read_ascii_grid(path: str | Path) -> Raster:
     Header keys are matched case-insensitively by name; all six canonical
     keys (NCOLS, NROWS, XLLCORNER, YLLCORNER, CELLSIZE, NODATA_VALUE) are
     required. An unconventional key order is accepted with a warning. Values
-    follow row-major from the top (northern) row down.
+    follow row-major from the top (northern) row down and may wrap across
+    lines anywhere. They are parsed in file order, so the first non-numeric
+    one is named; surplus values are counted, not parsed, and a header asking
+    for more values than the body has characters is refused before parsing.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     header: dict[str, float] = {}
-    order: list[str] = []
+    body = len(lines)
     for line_no, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
+        parts = line.split()
+        if not parts:
             continue
-        parts = stripped.split()
         key = parts[0].lower()
-        if key in _ASCII_HEADER_KEYS and len(header) < len(_ASCII_HEADER_KEYS):
-            if len(parts) != 2:
-                raise FormatError(f"{path}: header line {line_no + 1} must be 'KEY value'")
-            if key in header:
-                raise FormatError(f"{path}: duplicate header key {parts[0]!r}")
-            try:
-                header[key] = float(parts[1])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: header key {parts[0]!r} has non-numeric value {parts[1]!r}"
-                ) from None
-            order.append(key)
-        else:
+        if key not in _ASCII_HEADER_KEYS or len(header) == len(_ASCII_HEADER_KEYS):
+            body = line_no
             break
+        if len(parts) != 2:
+            raise FormatError(f"{path}: header line {line_no + 1} must be 'KEY value'")
+        if key in header:
+            raise FormatError(f"{path}: duplicate header key {parts[0]!r}")
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            raise FormatError(
+                f"{path}: header key {parts[0]!r} has non-numeric value {parts[1]!r}"
+            ) from None
     missing = [k for k in _ASCII_HEADER_KEYS if k not in header]
     if missing:
         raise FormatError(f"{path}: missing header keys {[m.upper() for m in missing]}")
-    if tuple(order) != _ASCII_HEADER_KEYS:
+    if tuple(header) != _ASCII_HEADER_KEYS:
         warnings.warn(
-            f"{path}: header keys in unconventional order {[k.upper() for k in order]}",
+            f"{path}: header keys in unconventional order {[k.upper() for k in header]}",
             HeaderOrderWarning,
             stacklevel=2,
         )
@@ -496,26 +497,24 @@ def read_ascii_grid(path: str | Path) -> Raster:
     cellsize = header["cellsize"]
     if cellsize <= 0:
         raise FormatError(f"{path}: CELLSIZE must be positive, got {cellsize}")
-    # An accepted header line holds two tokens, a skipped one none, and every
-    # line separator is whitespace to str.split: the rest are the body's.
-    del lines
-    tokens = text.split()
-    del text
-    del tokens[: 2 * len(header)]
+    tokens = chain.from_iterable(map(str.split, islice(lines, body, None)))
     expected = n_cols * n_rows
-    if len(tokens) != expected:
-        raise TruncationError(f"{path}: expected {expected} values, found {len(tokens)}")
-    # Parse in file order (the first bad value is named) into the south-up array,
-    # made while the tokens live: freeing them first raises malloc's mmap
-    # threshold, puts the array on the heap and raised the peak RSS of `run`.
-    values = np.empty((n_rows, n_cols))
+    # Every value takes a character, so a grid larger than the body is never allocated.
+    if expected > sum(map(len, islice(lines, body, None))):
+        raise TruncationError(f"{path}: expected {expected} values, found {sum(1 for _ in tokens)}")
     cells = map(float, tokens)
+    values = np.empty((n_rows, n_cols))
+    found = 0
     try:
         for r in range(n_rows - 1, -1, -1):  # file is top row first; store south-up
-            values[r] = np.fromiter(cells, np.float64, n_cols)
+            row = np.fromiter(islice(cells, n_cols), np.float64)  # short once the body runs out
+            values[r, : row.size] = row
+            found += row.size
     except ValueError as e:
         raise FormatError(f"{path}: non-numeric grid value ({e})") from None
-    del cells, tokens
+    found += sum(1 for _ in tokens)
+    if found != expected:
+        raise TruncationError(f"{path}: expected {expected} values, found {found}")
     nodata_value = header["nodata_value"]
     nodata = values == nodata_value
     values[nodata] = 0.0
@@ -546,21 +545,21 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
     values = np.asarray(raster.values, dtype=np.float64)
     na = np.array([raster.nodata_value], dtype=np.float64)
     (na_token,) = _row_formatter(na)(na)
-    out = [
-        f"NCOLS {raster.n_cols}",
-        f"NROWS {raster.n_rows}",
-        f"XLLCORNER {repr(float(raster.origin_x))}",
-        f"YLLCORNER {repr(float(raster.origin_y))}",
-        f"CELLSIZE {repr(float(raster.pixel_size))}",
-        f"NODATA_VALUE {na_token}",
-    ]
     format_row = _row_formatter(values)
-    for row, row_na in zip(values[::-1], raster.nodata[::-1]):  # top row first
-        tokens = list(format_row(row))
-        for c in np.flatnonzero(row_na).tolist():
-            tokens[c] = na_token
-        out.append(" ".join(tokens))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"NCOLS {raster.n_cols}\n"
+            f"NROWS {raster.n_rows}\n"
+            f"XLLCORNER {repr(float(raster.origin_x))}\n"
+            f"YLLCORNER {repr(float(raster.origin_y))}\n"
+            f"CELLSIZE {repr(float(raster.pixel_size))}\n"
+            f"NODATA_VALUE {na_token}\n"
+        )
+        for row, row_na in zip(values[::-1], raster.nodata[::-1]):  # top row first
+            tokens = list(format_row(row))
+            for c in np.flatnonzero(row_na).tolist():
+                tokens[c] = na_token
+            fh.write(" ".join(tokens) + "\n")
 
 
 def raster_from_tile_mask(mask: TileMask) -> Raster:

@@ -53,9 +53,10 @@ def render_pgm(
     gray = gray_levels(raster.values, raster.nodata, scale=scale)
     h, w = gray.shape
     if fmt == "P2":
-        lines = ["P2", f"{w} {h}", "255"]
-        lines.extend(" ".join(map(str, row.tolist())) for row in gray)
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"P2\n{w} {h}\n255\n")
+            for row in gray:
+                fh.write(" ".join(map(str, row.tolist())) + "\n")
     else:
         header = f"P5\n{w} {h}\n255\n".encode("ascii")
         Path(path).write_bytes(header + gray.tobytes())

@@ -1,35 +1,23 @@
 from __future__ import annotations
 
+import builtins
 import json
+import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from popgrid import cli, io, synth
+from popgrid import cli, errors, io, synth
 from popgrid.cli import main
 from popgrid.geo import BBox
 
 
-@pytest.fixture
-def scenario(tmp_path) -> dict:
-    rc = main(
-        [
-            "synth",
-            "--seed",
-            "11",
-            "--out",
-            str(tmp_path / "s"),
-            "--extent",
-            "960",
-            "--n-units",
-            "5",
-            "--scattered",
-            "20",
-        ]
-    )
+def make_scenario(s: Path) -> dict:
+    rc = main(["synth", "--seed", "11", "--out", str(s), "--extent", "960", "--n-units", "5", "--scattered", "20"])
     assert rc == 0
-    s = tmp_path / "s"
     return {
         "admin": str(s / "admin.geojson"),
         "poi": str(s / "poi.geojson"),
@@ -38,6 +26,11 @@ def scenario(tmp_path) -> dict:
         "meta": str(s / "scenario.json"),
         "dir": s,
     }
+
+
+@pytest.fixture
+def scenario(tmp_path) -> dict:
+    return make_scenario(tmp_path / "s")
 
 
 def run_pipeline(scenario, out_dir, *extra) -> int:
@@ -63,6 +56,21 @@ def run_pipeline(scenario, out_dir, *extra) -> int:
             *extra,
         ]
     )
+
+
+# One value of each JSON kind, for every PipelineConfig field.
+CONFIG_VALUES = {"true": True, "str": "x", "list": [1], "null": None, "huge": 10**400, "nan": math.nan}
+# The cells of that table that are a valid config, and why; every other cell
+# exits 2 with a typed error.
+VALID_CONFIG_CELLS = {
+    ("out", "str"): "out names the output directory, and any string is a path",
+    ("origin_x", "null"): "the grid is derived from the admin extent",
+    ("origin_y", "null"): "the grid is derived from the admin extent",
+    ("n_cols", "null"): "the grid is derived from the admin extent",
+    ("n_rows", "null"): "the grid is derived from the admin extent",
+    ("poi_threshold", "huge"): "no tile reaches the threshold, so POI exclusion turns off",
+    ("workers", "huge"): "workers is accepted and ignored",
+}
 
 
 class TestValidate:
@@ -296,6 +304,29 @@ class TestRun:
         assert f"ERROR: {error}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.fixture(scope="class")
+    def shared_scenario(self, tmp_path_factory) -> dict:
+        return make_scenario(tmp_path_factory.mktemp("table") / "s")
+
+    @pytest.mark.parametrize("value", list(CONFIG_VALUES))
+    @pytest.mark.parametrize("name", [f.name for f in fields(cli.PipelineConfig)])
+    def test_config_field_value_table(self, tmp_path, shared_scenario, capsys, monkeypatch, name, value):
+        monkeypatch.chdir(tmp_path)  # where a relative out path lands
+        paths = {key: shared_scenario[key] for key in ("admin", "poi", "mask")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**paths, "out": str(tmp_path / "o"), name: CONFIG_VALUES[value]}))
+        code = main(["run", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        if (name, value) in VALID_CONFIG_CELLS:
+            assert code == 0, err
+            return
+        assert code == 2
+        typed = re.match(r"ERROR: (\w+): ", err)
+        assert typed, err
+        error = getattr(errors, typed[1], None) or getattr(builtins, typed[1])
+        assert issubclass(error, (errors.PopgridError, OSError))
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_tile_size_flag_exits_two(self, tmp_path, scenario, capsys):
         assert run_pipeline(scenario, tmp_path / "o", "--tile-size", "nan") == 2
         assert "ERROR: ParameterError: tile size" in capsys.readouterr().err
@@ -332,6 +363,32 @@ class TestRun:
             return
         assert main(argv) == 2
         assert "ERROR: ParameterError: a grid of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "filter-poi"])
+    def test_unrepresentable_derived_origin_exits_two_before_tile_arrays(
+        self, tmp_path, scenario, capsys, monkeypatch, command
+    ):
+        # 1000 m / 1e-310 m overflows a float: no tile index exists for the origin
+        ring = [[1000.0, 1000.0], [2000.0, 1000.0], [2000.0, 2000.0], [1000.0, 2000.0], [1000.0, 1000.0]]
+        feature = {
+            "type": "Feature",
+            "properties": {"id": "a", "level": "circle", "population": 10},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        }
+        admin = tmp_path / "square.geojson"
+        admin.write_text(json.dumps({"type": "FeatureCollection", "coordinate_units": "meters", "features": [feature]}))
+
+        def compute_tile_mask(*args):
+            raise AssertionError("a tile array was made")
+
+        monkeypatch.setattr(cli, "compute_tile_mask", compute_tile_mask)
+        out = tmp_path / "o"
+        argv = [command, "--admin", str(admin), "--poi", scenario["poi"], "--out", str(out), "--tile-size", "1e-310"]
+        if command == "run":
+            argv += ["--mask", scenario["mask"]]
+        assert main(argv) == 2
+        assert "ERROR: ParameterError: tile size 1e-310 is too small" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -353,6 +354,93 @@ class TestAsciiGrid:
         assert r.grid == lf.grid and r.nodata_value == lf.nodata_value
         assert r.values.tobytes() == lf.values.tobytes()
         assert np.array_equal(r.nodata, lf.nodata)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda cells: "\n".join(cells),  # one value per line
+            lambda cells: " ".join(cells),  # every value on one line
+            lambda cells: "\n".join(" ".join(cells[i : i + 5]) for i in range(0, len(cells), 5)),  # mid-row
+        ],
+        ids=["one-per-line", "one-line", "mid-row"],
+    )
+    def test_golden_mask_rewrapped(self, tmp_path, data_dir, wrap):
+        lines = (data_dir / "mask.asc").read_text().splitlines()
+        cells = " ".join(lines[6:]).split()
+        p = tmp_path / "m.asc"
+        p.write_text("\n".join(lines[:6]) + "\n" + wrap(cells) + "\n")
+        r, lf = io.read_ascii_grid(p), io.read_ascii_grid(data_dir / "mask.asc")
+        assert r.grid == lf.grid and r.nodata_value == lf.nodata_value
+        assert r.values.tobytes() == lf.values.tobytes()
+        assert np.array_equal(r.nodata, lf.nodata)
+
+    @pytest.mark.parametrize(
+        "body, found",
+        [
+            (lambda rows: rows[:-2], 48),  # two rows short
+            (lambda rows: rows[:-1] + [rows[-1][:-6]], 61),  # three values short, mid-row
+            (lambda rows: [], 0),  # header only
+            (lambda rows: rows + ["1 0 1"], 67),
+            (lambda rows: rows + ["x y"], 66),  # surplus values are counted, not parsed
+        ],
+        ids=["short-rows", "short-mid-row", "header-only", "long", "long-non-numeric-surplus"],
+    )
+    def test_wrong_length_reports_the_count_found(self, tmp_path, data_dir, body, found):
+        lines = (data_dir / "mask.asc").read_text().splitlines()
+        p = tmp_path / "t.asc"
+        p.write_text("\n".join(lines[:6] + body(lines[6:])) + "\n")
+        with pytest.raises(TruncationError, match=rf"expected 64 values, found {found}$"):
+            io.read_ascii_grid(p)
+
+    def test_header_asking_for_more_values_than_the_body_has_characters(self, tmp_path, data_dir):
+        # refused from the text's size, before a grid of 10**16 cells is allocated
+        text = (data_dir / "mask.asc").read_text().replace("NCOLS 8", "NCOLS 100000000")
+        p = tmp_path / "t.asc"
+        p.write_text(text.replace("NROWS 8", "NROWS 100000000"))
+        with pytest.raises(TruncationError, match=r"expected 10000000000000000 values, found 64$"):
+            io.read_ascii_grid(p)
+
+    @pytest.mark.parametrize("body", [lambda rows: rows[:-2], lambda rows: rows + ["1 0 1"]], ids=["short", "long"])
+    def test_wrong_length_with_a_non_numeric_value_names_the_value(self, tmp_path, data_dir, body):
+        # the first fault in file order is the one reported
+        lines = (data_dir / "mask.asc").read_text().splitlines()
+        lines[7] = "x" + lines[7][1:]
+        p = tmp_path / "t.asc"
+        p.write_text("\n".join(lines[:6] + body(lines[6:])) + "\n")
+        with pytest.raises(FormatError, match="could not convert string to float: 'x'") as info:
+            io.read_ascii_grid(p)
+        assert not isinstance(info.value, TruncationError)
+
+    @pytest.fixture(scope="class")
+    def real_grid(self) -> io.Raster:
+        rng = np.random.default_rng(5)
+        return io.Raster(0.0, 0.0, 30.0, rng.random((512, 512)) * 1000.0)
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_holds_the_text_and_the_grid_not_a_token_per_cell(self, tmp_path, real_grid):
+        # The text and its lines are alive together for a moment (2 bytes per
+        # byte of file); then the lines, the float64 values and the nodata flags
+        # (9 bytes per cell). A str per cell would cost about 70 bytes a cell.
+        p = tmp_path / "g.asc"
+        io.write_ascii_grid(real_grid, p)
+        bound = 2 * p.stat().st_size + 9 * real_grid.values.size + 2**20
+        assert self.traced_peak(lambda: io.read_ascii_grid(p)) < bound
+
+    def test_write_never_holds_the_files_text(self, tmp_path, real_grid):
+        # Only grid-sized temporaries: _row_formatter's floor and comparison
+        # (9 bytes per cell) or as_raster's nodata flags. The text is about
+        # 18 bytes per cell here, so one whole copy of it breaks the bound.
+        p = tmp_path / "g.asc"
+        assert self.traced_peak(lambda: io.write_ascii_grid(real_grid, p)) < 9 * real_grid.values.size + 2**20
+        assert io.read_ascii_grid(p).values.tobytes() == real_grid.values.tobytes()
 
     def test_golden_mask(self, data_dir):
         r = io.read_ascii_grid(data_dir / "mask.asc")
