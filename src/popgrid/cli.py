@@ -58,7 +58,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            raw = json.loads(io.read_text(config_path))
         except json.JSONDecodeError as e:
             raise ConfigurationError(f"{config_path}: invalid JSON config ({e.msg})") from None
         if not isinstance(raw, dict):

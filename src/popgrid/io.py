@@ -49,6 +49,7 @@ from .poi_filter import PoiPoint, PoiSet, TileMask
 _ASCII_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 _GEOGRAPHIC_TOKENS = ("4326", "wgs84", "crs84", "degree", "longlat", "geographic")
 _METER_TOKENS = ("meter", "metre", "projected", "utm", "local")
+_RULE_BLOCK = 2**14  # grid cells tested at once for the integer formatting rule
 
 
 class AdminLevel(str, Enum):
@@ -150,9 +151,11 @@ class BinaryRaster(Raster):
 
     def __post_init__(self):
         super().__post_init__()
-        valid = self.values[~self.nodata]
-        if valid.size and not np.all((valid == 0) | (valid == 1)):
-            bad = valid[(valid != 0) & (valid != 1)]
+        ok = self.values == 0  # checked in place: one byte a cell, no copy of the values
+        ok |= self.values == 1
+        ok |= self.nodata
+        if not ok.all():
+            bad = self.values[~ok]
             raise ValidationError(
                 f"binary raster has {bad.size} cells outside {{0, 1}} (e.g. {float(bad.flat[0])!r})"
             )
@@ -193,8 +196,36 @@ class PopulationGrid:
 # ---------------------------------------------------------------------------
 
 
+def _not_utf8(path: str | Path) -> FormatError:
+    """The error for a file that does not decode as UTF-8, naming the first
+    offending byte and its offset."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return FormatError(f"{path}: not UTF-8 text: byte {data[e.start]:#04x} at offset {e.start}")
+    return FormatError(f"{path}: not UTF-8 text")  # the file changed since the failed read
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; a byte that is not UTF-8 is a ``FormatError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _utf8_lines(fh, path: str | Path):
+    """The lines of the text file ``fh`` opened on ``path``; a byte that is
+    not UTF-8 is a ``FormatError``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def _load_json(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -364,8 +395,11 @@ def read_poi(path: str | Path) -> PoiSet:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return _read_poi_csv(p)
-    with open(p, encoding="utf-8") as fh:
-        head = fh.read(200).lstrip()
+    try:
+        with open(p, encoding="utf-8") as fh:
+            head = fh.read(200).lstrip()
+    except UnicodeDecodeError:
+        raise _not_utf8(p) from None
     if head.startswith("{"):
         return _read_poi_geojson(p)
     return _read_poi_csv(p)
@@ -391,7 +425,7 @@ def _read_poi_geojson(path: Path) -> PoiSet:
 
 def _read_poi_csv(path: Path) -> PoiSet:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -459,7 +493,7 @@ def read_ascii_grid(path: str | Path) -> Raster:
     one is named; surplus values are counted, not parsed, and a header asking
     for more values than the body has characters is refused before parsing.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     header: dict[str, float] = {}
     body = len(lines)
     for line_no, line in enumerate(lines):
@@ -527,10 +561,14 @@ def read_ascii_grid(path: str | Path) -> Raster:
 def _row_formatter(values: np.ndarray):
     """The row formatter for a grid of ``values``: ``str`` of the int64 cast
     when every value is an integer below 2**53 in magnitude, else
-    shortest-exact ``repr``."""
-    if np.isfinite(values).all() and (values == np.floor(values)).all() and (np.abs(values) < 2**53).all():
-        return lambda row: map(str, row.astype(np.int64).tolist())
-    return lambda row: map(repr, row.tolist())
+    shortest-exact ``repr``. The rule is tested ``_RULE_BLOCK`` cells at a
+    time, so no whole-grid temporary exists."""
+    step = max(1, _RULE_BLOCK // max(1, values.shape[-1]))
+    for i in range(0, len(values), step):
+        block = values[i : i + step]
+        if not ((block == np.floor(block)) & (np.abs(block) < 2**53)).all():  # false for inf and nan
+            return lambda row: map(repr, row.tolist())
+    return lambda row: map(str, row.astype(np.int64).tolist())
 
 
 def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:

@@ -10,6 +10,11 @@ Buffer membership is a closed disc evaluated on squared distances
 monotone in the radius. The center POI always counts toward its own buffer:
 with threshold 1 every POI is dense, which makes the degenerate bound easy
 to reason about.
+
+A dense POI is a DBSCAN core point (eps = radius, MinPts = threshold).
+``PoiSet.dense`` decides most of them from per-cell certificates, with no
+pair test, and counts pairs exactly only for the POIs a cell leaves
+undecided; ``PoiSet.buffer_counts`` counts pairs for every POI.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .geo import Point, TileGrid, as_real
 
 __all__ = ["PoiPoint", "PoiSet", "TileMask", "buffer_count", "dense_pois", "compute_tile_mask"]
 
-_PAIR_BLOCK = 2**16  # point pairs tested at once by PoiSet.buffer_counts
+_PAIR_BLOCK = 2**16  # point pairs tested at once by PoiSet._pair_counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +44,8 @@ class PoiPoint:
 
 class PoiSet:
     """Immutable POI collection with exact closed-disc radius queries: the
-    single-center queries scan every point, ``buffer_counts`` hashes them."""
+    single-center queries scan every point, ``buffer_counts`` and ``dense``
+    hash them."""
 
     def __init__(self, points: Iterable[PoiPoint]):
         self._points: tuple[PoiPoint, ...] = tuple(points)
@@ -69,13 +75,56 @@ class PoiSet:
         return int(np.count_nonzero(self._within(x, y, radius)))
 
     def buffer_counts(self, radius: float) -> np.ndarray:
-        """``count_within`` at every point, input order, in one grid-hashed pass:
-        fixed-radius near neighbours (Bentley, Stanat & Williams 1977) over the
-        3x3 cells around each point's own, ``_PAIR_BLOCK`` point pairs at a time."""
+        """``count_within`` at every point, input order, exact: the grid-hashed
+        pair pass of ``_pair_counts`` over every point."""
         radius = _check_radius_threshold(radius)
-        rr, n = radius * radius, len(self._points)
+        return self._pair_counts(radius, np.arange(len(self._points)))
+
+    def dense(self, radius: float, threshold: int) -> np.ndarray:
+        """Whether each point's buffer holds at least ``threshold`` points,
+        input order; equal to ``buffer_counts(radius) >= threshold``.
+
+        The points are grouped into cells of side radius/sqrt(2). A cell of at
+        least ``threshold`` points whose float extents DX = max x - min x and
+        DY (likewise) give DX*DX + DY*DY <= radius*radius makes every one of
+        its points dense: rounding is monotone, so each pair in the cell has a
+        rounded |dx| <= DX and |dy| <= DY and passes the pair test itself.
+        This holds for any grouping; the cell side only sets how many points
+        are decided this way (the core-point grid of Gan & Tao, SIGMOD 2015).
+        The points left undecided are counted exactly by ``_pair_counts``.
+        """
+        radius = _check_radius_threshold(radius, threshold)
+        n = len(self._points)
         if n == 0:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=bool)
+        # Float keys: a tiny radius puts x / side beyond the int64 range, or at
+        # inf; an overflow only merges cells, which the certificate allows.
+        side = radius / math.sqrt(2.0)
+        with np.errstate(over="ignore"):
+            kx, ky = np.floor(self._xs / side), np.floor(self._ys / side)
+            order = np.lexsort((ky, kx))
+            kx, ky, xs, ys = kx[order], ky[order], self._xs[order], self._ys[order]
+            start = np.flatnonzero(np.concatenate(([True], (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]))))
+            size = np.diff(np.append(start, n))
+            dx = np.maximum.reduceat(xs, start) - np.minimum.reduceat(xs, start)
+            dy = np.maximum.reduceat(ys, start) - np.minimum.reduceat(ys, start)
+            certified = (size >= threshold) & (dx * dx + dy * dy <= radius * radius)
+        dense = np.empty(n, dtype=bool)
+        dense[order] = np.repeat(certified, size)
+        undecided = np.flatnonzero(~dense)
+        if undecided.size:
+            dense[undecided] = self._pair_counts(radius, undecided) >= threshold
+        return dense
+
+    def _pair_counts(self, radius: float, query: np.ndarray) -> np.ndarray:
+        """``count_within`` at the points ``query`` indexes, in one grid-hashed
+        pass: fixed-radius near neighbours (Bentley, Stanat & Williams 1977)
+        over the 3x3 cells around each query point's own, ``_PAIR_BLOCK``
+        point pairs at a time."""
+        rr = radius * radius
+        counts = np.zeros(len(query), dtype=np.int64)
+        if not len(query):
+            return counts
         big = float(max(np.abs(self._xs).max(), np.abs(self._ys).max()))
         # Cover: with u = 2**-53, an accepted pair has |dx| <= radius*(1 + 2u), or
         # |dx| < 2**-500 (smaller squares may leave the normal range), so the exact
@@ -90,24 +139,26 @@ class PoiSet:
         width = int(ky.max() - ky.min()) + 3
         key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
         order = np.argsort(key, kind="stable")
+        qkey = key[query]
+        visit = np.argsort(qkey, kind="stable")  # query points cell by cell
         key, xs, ys = key[order], self._xs[order], self._ys[order]
+        qx, qy = self._xs[query], self._ys[query]
         # A point's candidates are three runs of the sorted order, one per
         # neighbouring cell column (cells ky-1..ky+1 have adjacent keys).
-        want = key[:, None] + np.arange(-1, 2) * width
+        want = qkey[visit][:, None] + np.arange(-1, 2) * width
         lo = np.searchsorted(key, want - 1).ravel()
         run = np.searchsorted(key, want + 1, side="right").ravel() - lo
-        point, lo, run = np.repeat(order, 3)[run > 0], lo[run > 0], run[run > 0]
+        point, lo, run = np.repeat(visit, 3)[run > 0], lo[run > 0], run[run > 0]
         ends = np.cumsum(run)
-        shift = lo - (ends - run)  # pair g of run r is point[r] and sorted g + shift[r]
-        counts = np.zeros(n, dtype=np.int64)
+        shift = lo - (ends - run)  # pair g of run r is query point[r] and sorted g + shift[r]
         for g0 in range(0, int(ends[-1]), _PAIR_BLOCK):
             g1 = min(g0 + _PAIR_BLOCK, int(ends[-1]))
             r0, r1 = np.searchsorted(ends, [g0, g1 - 1], side="right")
             r = slice(r0, r1 + 1)
             seg = np.minimum(ends[r], g1) - np.maximum(ends[r] - run[r], g0)
             j = np.arange(g0, g1) + np.repeat(shift[r], seg)
-            dx = xs[j] - np.repeat(self._xs[point[r]], seg)
-            dy = ys[j] - np.repeat(self._ys[point[r]], seg)
+            dx = xs[j] - np.repeat(qx[point[r]], seg)
+            dy = ys[j] - np.repeat(qy[point[r]], seg)
             hit = dx * dx + dy * dy <= rr
             np.add.at(counts, point[r], np.add.reduceat(hit, np.cumsum(seg) - seg, dtype=np.int64))
         return counts
@@ -161,8 +212,7 @@ def buffer_count(pois: PoiSet, center: Point, radius: float) -> int:
 
 def dense_pois(pois: PoiSet, radius: float, threshold: int) -> tuple[PoiPoint, ...]:
     """The POIs whose buffer holds at least ``threshold`` points, input order."""
-    radius = _check_radius_threshold(radius, threshold)
-    return tuple(pois.points[i] for i in np.flatnonzero(pois.buffer_counts(radius) >= threshold))
+    return tuple(pois.points[i] for i in np.flatnonzero(pois.dense(radius, threshold)))
 
 
 def compute_tile_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: int) -> TileMask:
@@ -171,8 +221,7 @@ def compute_tile_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: in
     POIs outside the grid extent never mark a tile but still contribute to
     the buffer counts of POIs inside it.
     """
-    radius = _check_radius_threshold(radius, threshold)
-    dense = pois.buffer_counts(radius) >= threshold
+    dense = pois.dense(radius, threshold)
     cols, rows, inside = grid.tile_indices_of(pois._xs[dense], pois._ys[dense])
     retained = np.ones((grid.n_rows, grid.n_cols), dtype=bool)
     retained[rows[inside], cols[inside]] = False

@@ -520,6 +520,74 @@ class TestNonFiniteGrid:
         assert not any((tmp_path / name).exists() for name in ("h.pgm", "z.csv", "o"))
 
 
+def append_byte(path: Path, source: str, byte: bytes = b"\xff") -> int:
+    """Copy ``source`` to ``path`` with ``byte`` appended; return its offset."""
+    data = Path(source).read_bytes()
+    path.write_bytes(data + byte)
+    return len(data)
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any text input is a FormatError naming the
+    file and the byte's offset, with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "command, role",
+        [
+            ("render", "mask"),
+            ("validate", "mask"),
+            ("validate", "poi"),
+            ("validate", "admin"),
+            ("run", "poi"),
+            ("run", "mask"),
+            ("run", "admin"),
+            ("run", "config"),
+            ("zonal", "admin"),
+            ("filter-poi", "poi"),
+        ],
+    )
+    def test_exits_two_with_a_format_error(self, tmp_path, scenario, capsys, command, role):
+        if role == "config":
+            (tmp_path / "ok.json").write_text('{"level": "circle"}')
+            source = str(tmp_path / "ok.json")
+        else:
+            source = scenario[role]
+        bad = tmp_path / ("bad" + Path(source).suffix)
+        offset = append_byte(bad, source)
+        paths = {**scenario, role: str(bad)}
+        out = tmp_path / "out"
+        argv = {
+            "render": ["render", "--grid", paths["mask"], "--out", str(out)],
+            "validate": ["validate", f"--{role}", str(bad)],
+            "run": ["run", "--admin", paths["admin"], "--poi", paths["poi"], "--mask", paths["mask"],
+                    "--out", str(out)] + (["--config", str(bad)] if role == "config" else []),
+            "zonal": ["zonal", "--grid", scenario["truth"], "--admin", paths["admin"], "--out", str(out)],
+            "filter-poi": ["filter-poi", "--admin", paths["admin"], "--poi", paths["poi"], "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        # validate reports on stdout, every other command on stderr
+        message = captured.out if command == "validate" else captured.err
+        assert f"ERROR: FormatError: {bad}: not UTF-8 text: byte 0xff at offset {offset}" in message
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix", [".csv", ".txt"])
+    def test_poi_csv_names_the_offset_of_a_byte_mid_file(self, tmp_path, suffix):
+        bad = tmp_path / ("poi" + suffix)
+        head = "x,y,category\n" + "".join(f"{i}.5,{i}.25,shop\n" for i in range(2000))
+        bad.write_bytes(head.encode() + b"9,9,caf\xe9\n")
+        with pytest.raises(errors.FormatError, match=rf"not UTF-8 text: byte 0xe9 at offset {len(head) + 7}$"):
+            io.read_poi(bad)
+
+    def test_grid_header_byte(self, tmp_path, scenario):
+        text = Path(scenario["mask"]).read_bytes()
+        bad = tmp_path / "m.asc"
+        bad.write_bytes(text.replace(b"NCOLS", b"NC\x80OLS", 1))
+        with pytest.raises(errors.FormatError, match=r"not UTF-8 text: byte 0x80 at offset 2$"):
+            io.read_ascii_grid(bad)
+
+
 class TestFilterPoi:
     def test_explicit_grid(self, tmp_path, scenario):
         out = tmp_path / "mask_tiles.asc"

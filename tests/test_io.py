@@ -435,12 +435,49 @@ class TestAsciiGrid:
         assert self.traced_peak(lambda: io.read_ascii_grid(p)) < bound
 
     def test_write_never_holds_the_files_text(self, tmp_path, real_grid):
-        # Only grid-sized temporaries: _row_formatter's floor and comparison
-        # (9 bytes per cell) or as_raster's nodata flags. The text is about
-        # 18 bytes per cell here, so one whole copy of it breaks the bound.
+        # No more than grid-sized temporaries (as_raster's nodata flags). The
+        # text is about 18 bytes per cell here, so one whole copy of it breaks
+        # the bound.
         p = tmp_path / "g.asc"
         assert self.traced_peak(lambda: io.write_ascii_grid(real_grid, p)) < 9 * real_grid.values.size + 2**20
         assert io.read_ascii_grid(p).values.tobytes() == real_grid.values.tobytes()
+
+    def test_write_of_an_integer_grid_tests_its_rule_a_block_at_a_time(self, tmp_path):
+        # Every cell of an integer grid must be tested before the first row is
+        # written; whole-grid floor and abs temporaries would cost 9 bytes a cell.
+        rng = np.random.default_rng(9)
+        mask = io.Raster(0.0, 0.0, 15.0, (rng.random((512, 512)) < 0.4) * 1.0, rng.random((512, 512)) < 0.05)
+        p = tmp_path / "m.asc"
+        assert self.traced_peak(lambda: io.write_ascii_grid(mask, p)) < 2 * mask.values.size
+        assert p.read_bytes() == reference_ascii_grid(mask).encode("utf-8")
+
+    @pytest.mark.parametrize("block", [7, 64, 2**14])
+    @pytest.mark.parametrize("spoiler", [None, 0.5, 2.0**53, math.inf, math.nan])
+    @pytest.mark.parametrize("cell", [0, 1000, 4095])
+    def test_rule_is_chosen_over_every_block(self, tmp_path, monkeypatch, block, spoiler, cell):
+        monkeypatch.setattr(io, "_RULE_BLOCK", block)
+        values = np.arange(4096.0).reshape(64, 64) - 2000.0
+        if spoiler is not None:
+            values.flat[cell] = spoiler
+        raster = io.Raster(0.0, 0.0, 30.0, values)
+        p = tmp_path / "g.asc"
+        io.write_ascii_grid(raster, p)
+        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+
+    def test_binary_check_copies_no_values(self):
+        # The {0, 1} check runs on the values in place: two bytes of flags a
+        # cell, where a copy of the valid cells alone costs eight.
+        rng = np.random.default_rng(10)
+        raster = io.Raster(0.0, 0.0, 15.0, (rng.random((512, 512)) < 0.4) * 1.0, rng.random((512, 512)) < 0.05)
+        assert self.traced_peak(lambda: io.BinaryRaster.from_raster(raster)) < 3 * raster.values.size
+
+    def test_binary_check_names_the_first_bad_cell(self):
+        values = np.zeros((3, 4))
+        values[1, 2], values[2, 0], values[0, 1] = 0.5, 7.0, -3.0
+        nodata = np.zeros((3, 4), dtype=bool)
+        nodata[0, 1] = True
+        with pytest.raises(ValidationError, match=r"^binary raster has 2 cells outside \{0, 1\} \(e\.g\. 0\.5\)$"):
+            io.BinaryRaster(0.0, 0.0, 15.0, values, nodata)
 
     def test_golden_mask(self, data_dir):
         r = io.read_ascii_grid(data_dir / "mask.asc")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -299,6 +300,135 @@ def test_dense_pois_and_mask_equal_brute_force(coords, offset, radius, threshold
         mask = compute_tile_mask(grid, pois, radius, threshold)
     assert dense == tuple(p for p, c in zip(pois, counts) if c >= threshold)
     assert np.array_equal(mask.retained, brute_dense_mask(grid, pois, radius, threshold))
+
+
+def assert_dense_exact(coords, radius, threshold):
+    pois = make_set(coords)
+    assert pois.dense(radius, threshold).tolist() == (brute_counts(pois, radius) >= threshold).tolist()
+
+
+# Two points in one certificate cell (radius / sqrt(2) wide, cell (-1, -1)):
+# x / side rounds to exactly -1.0 for the first, so floor keeps it in the cell,
+# yet the pair's distance exceeds the radius by 4.5e-13 in the squared test.
+# Each extent alone is below the radius, so only the DX*DX + DY*DY test refuses it.
+CORNER_RADIUS = 57.376371024552625
+CORNER = [(-40.5712210313365, -40.5712210313365), (-1.04e-322, -1.04e-322)]
+ULP_1E7 = 2.0**-29  # spacing of the floats in [2**23, 2**24)
+
+
+class TestDense:
+    def test_corner_pair_of_one_cell_is_not_certified(self):
+        pois = make_set(CORNER)
+        assert pois.buffer_counts(CORNER_RADIUS).tolist() == [1, 1]
+        assert pois.dense(CORNER_RADIUS, 2).tolist() == [False, False]
+        assert pois.dense(CORNER_RADIUS, 1).tolist() == [True, True]
+
+    @pytest.mark.parametrize("threshold", [2, 3, 5])
+    def test_cell_one_short_of_the_threshold(self, threshold):
+        # a tight cluster of threshold - 1 points far from everything else
+        cluster = [(1e7 + 0.25 * i, 1e7 - 0.5 * i) for i in range(threshold - 1)]
+        assert_dense_exact(cluster + [(0.0, 0.0)], 500.0, threshold)
+        assert not make_set(cluster).dense(500.0, threshold).any()
+
+    def test_all_identical_points(self):
+        for n in (1, 2, 5, 40):
+            pois = make_set([(1e7, -1e7)] * n)
+            for threshold in (1, n, n + 1):
+                assert pois.dense(500.0, threshold).tolist() == [n >= threshold] * n
+
+    def test_threshold_one_and_above_the_count(self):
+        pois = random_poi_set(np.random.default_rng(51), 80, span=900.0)
+        assert pois.dense(300.0, 1).all()
+        assert not pois.dense(300.0, 81).any()
+        assert not pois.dense(300.0, 10**400).any()
+
+    @pytest.mark.parametrize("radius", [1e-200, 1e-300, 5e-324, 1e-9, 3e-9])
+    def test_tiny_radius_near_1e7_keeps_float_keys(self, radius):
+        # x / side is far beyond the int64 range (or inf); no warning may escape,
+        # since the CLI counts any warning as "completed with warnings".
+        steps = [(0, 0), (0, 0), (1, 0), (1, 1), (3, 3), (3, 3), (3, 3), (-2, 5)]
+        coords = [(1e7 + i * ULP_1E7, 1e7 - j * ULP_1E7) for i, j in steps]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for threshold in (1, 2, 3, 4):
+                assert_dense_exact(coords, radius, threshold)
+
+    def test_lattice_at_1e7_with_pairs_exactly_the_radius_apart(self):
+        # step radius / 2: cells hold points half a radius apart in x and y,
+        # and many pairs lie exactly on the closed disc's edge
+        radius = 250.0
+        row = [1e7 + k * radius / 2 for k in range(-6, 7)]
+        coords = [(x, y) for x in row for y in row]
+        for threshold in (4, 9, 13, 14, 30):
+            assert_dense_exact(coords, radius, threshold)
+
+    def test_matches_buffer_counts_on_random_sets(self):
+        for seed in (61, 62, 63):
+            pois = random_poi_set(np.random.default_rng(seed), 700, span=4000.0)
+            for radius, threshold in ((500.0, 5), (120.0, 3), (40.0, 2)):
+                assert pois.dense(radius, threshold).tolist() == (pois.buffer_counts(radius) >= threshold).tolist()
+
+    def test_only_undecided_points_are_pair_counted(self):
+        cluster = [(100.0 + i, 200.0 + i) for i in range(6)]
+        pois = make_set(cluster + [(5000.0, 5000.0)])
+        seen = []
+        real = PoiSet._pair_counts
+
+        def spy(self, radius, query):
+            seen.append(query.tolist())
+            return real(self, radius, query)
+
+        with mock.patch.object(PoiSet, "_pair_counts", spy):
+            dense = pois.dense(500.0, 5)
+        assert dense.tolist() == [True] * 6 + [False]
+        assert seen == [[6]]
+
+    def test_bad_parameters(self):
+        pois = make_set([(0.0, 0.0)])
+        for radius in (0.0, float("nan"), 1e200, True):
+            with pytest.raises(ParameterError, match="radius"):
+                pois.dense(radius, 1)
+        for threshold in (0, 2.0, None, True):
+            with pytest.raises(ParameterError, match="threshold"):
+                pois.dense(1.0, threshold)
+
+
+# Cell-corner coordinates, a 1e7 lattice of step 12.5 and random floats.
+dense_coord = st.one_of(
+    st.integers(-24, 24).map(lambda k: k * 12.5),
+    st.sampled_from([c for xy in CORNER for c in xy]),
+    st.floats(min_value=-300.0, max_value=300.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coords=st.lists(st.tuples(dense_coord, dense_coord), max_size=40),
+    repeat=st.integers(min_value=1, max_value=3),
+    offset=st.sampled_from([0.0, 1e7]),
+    radius=st.one_of(radius_st, st.sampled_from([CORNER_RADIUS, 25.0 * 2**0.5])),
+    threshold=st.integers(min_value=1, max_value=50),
+)
+def test_dense_and_mask_equal_brute_force(coords, repeat, offset, radius, threshold):
+    pois = make_set([(x + offset, y + offset) for x, y in coords] * repeat)
+    grid = TileGrid(origin_x=offset - 150.0, origin_y=offset - 150.0, n_cols=10, n_rows=10, tile_size=30.0)
+    expect = brute_counts(pois, radius) >= threshold
+    assert pois.dense(radius, threshold).tolist() == expect.tolist()
+    mask = compute_tile_mask(grid, pois, radius, threshold)
+    assert np.array_equal(mask.retained, brute_dense_mask(grid, pois, radius, threshold))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=30),
+    radius=st.sampled_from([1e-200, 1e-300, 5e-324, ULP_1E7, 2.5 * ULP_1E7]),
+    threshold=st.integers(min_value=1, max_value=8),
+)
+def test_dense_at_tiny_radii_near_1e7_equals_brute_force(steps, radius, threshold):
+    coords = [(1e7 + i * ULP_1E7, -1e7 + j * ULP_1E7) for i, j in steps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_dense_exact(coords, radius, threshold)
 
 
 class TestParameterValidation:
