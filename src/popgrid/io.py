@@ -14,8 +14,12 @@ member ``"coordinate_units": "meters"``; readers reject collections whose
 With ``require_projected`` (every CLI command sets it), ``read_admin_units``
 also rejects degree-like coordinates in a collection declaring no meter units.
 
-ESRI ASCII grids are read a line at a time, never holding a string per cell,
-and written a row at a time under one formatting rule per grid.
+ESRI ASCII grids are read a line at a time, never holding a string per cell:
+numpy parses a body laid out one grid row per line, and the streamed reader
+every other body, with the same values and the same error messages. They are
+written in blocks of rows under one formatting rule per grid, each distinct
+value of a block formatted once. Every text input may start with a UTF-8
+byte-order mark.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ _ASCII_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "n
 _GEOGRAPHIC_TOKENS = ("4326", "wgs84", "crs84", "degree", "longlat", "geographic")
 _METER_TOKENS = ("meter", "metre", "projected", "utm", "local")
 _RULE_BLOCK = 2**14  # grid cells tested at once for the integer formatting rule
+_WRITE_BLOCK = 2**12  # grid cells formatted at once
 
 
 class AdminLevel(str, Enum):
@@ -208,9 +213,10 @@ def _not_utf8(path: str | Path) -> FormatError:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of ``path``; a byte that is not UTF-8 is a ``FormatError``."""
+    """The UTF-8 text of ``path``, without a leading byte-order mark; a byte
+    that is not UTF-8 is a ``FormatError``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
@@ -396,7 +402,7 @@ def read_poi(path: str | Path) -> PoiSet:
     if p.suffix.lower() == ".csv":
         return _read_poi_csv(p)
     try:
-        with open(p, encoding="utf-8") as fh:
+        with open(p, encoding="utf-8-sig") as fh:
             head = fh.read(200).lstrip()
     except UnicodeDecodeError:
         raise _not_utf8(p) from None
@@ -424,7 +430,7 @@ def _read_poi_geojson(path: Path) -> PoiSet:
 
 
 def _read_poi_csv(path: Path) -> PoiSet:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
@@ -531,11 +537,45 @@ def read_ascii_grid(path: str | Path) -> Raster:
     cellsize = header["cellsize"]
     if cellsize <= 0:
         raise FormatError(f"{path}: CELLSIZE must be positive, got {cellsize}")
-    tokens = chain.from_iterable(map(str.split, islice(lines, body, None)))
     expected = n_cols * n_rows
     # Every value takes a character, so a grid larger than the body is never allocated.
     if expected > sum(map(len, islice(lines, body, None))):
-        raise TruncationError(f"{path}: expected {expected} values, found {sum(1 for _ in tokens)}")
+        found = sum(len(line.split()) for line in islice(lines, body, None))
+        raise TruncationError(f"{path}: expected {expected} values, found {found}")
+    values = _parse_rows(lines, body, n_rows, n_cols)
+    if values is None:
+        values = _stream_values(lines, body, n_rows, n_cols, path)
+    nodata_value = header["nodata_value"]
+    nodata = values == nodata_value
+    values[nodata] = 0.0
+    try:
+        return Raster(header["xllcorner"], header["yllcorner"], cellsize, values, nodata, nodata_value)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
+def _parse_rows(lines: list[str], body: int, n_rows: int, n_cols: int) -> np.ndarray | None:
+    """The south-up values of a body laid out one grid row per line, parsed
+    by numpy; None for any other body. numpy accepts a subset of what
+    ``float`` does (no ``1_0``, no Unicode digits), so a body it parses is
+    one the streamed reader gives the same bits for."""
+    rows = lines[body:]
+    if len(rows) > n_rows and next(islice(filter(str.strip, rows), n_rows, None), None) is not None:
+        return None  # more non-blank lines than grid rows: numpy's shape could not fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a body of blank lines warns "no data"
+        try:
+            # comments=None: the default "#" would cut a line short
+            values = np.loadtxt(reversed(rows), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return values if values.shape == (n_rows, n_cols) else None
+
+
+def _stream_values(lines: list[str], body: int, n_rows: int, n_cols: int, path: str | Path) -> np.ndarray:
+    """The south-up values of a body wrapped anywhere, parsed with ``float``
+    in file order: the definition of an accepted body and of its errors."""
+    tokens = chain.from_iterable(map(str.split, islice(lines, body, None)))
     cells = map(float, tokens)
     values = np.empty((n_rows, n_cols))
     found = 0
@@ -547,15 +587,9 @@ def read_ascii_grid(path: str | Path) -> Raster:
     except ValueError as e:
         raise FormatError(f"{path}: non-numeric grid value ({e})") from None
     found += sum(1 for _ in tokens)
-    if found != expected:
-        raise TruncationError(f"{path}: expected {expected} values, found {found}")
-    nodata_value = header["nodata_value"]
-    nodata = values == nodata_value
-    values[nodata] = 0.0
-    try:
-        return Raster(header["xllcorner"], header["yllcorner"], cellsize, values, nodata, nodata_value)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
+    if found != n_rows * n_cols:
+        raise TruncationError(f"{path}: expected {n_rows * n_cols} values, found {found}")
+    return values
 
 
 def _row_formatter(values: np.ndarray):
@@ -577,13 +611,15 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
     Integer-valued grids are written as integers; reals use shortest exact
     float formatting so a read of the written file reproduces each value
     bit-for-bit. The rule is chosen once for the whole grid, and once for
-    the nodata value on its own.
+    the nodata value on its own. Rows go out ``_WRITE_BLOCK`` cells at a
+    time, each distinct value of a block formatted once.
     """
     raster = obj.as_raster() if isinstance(obj, PopulationGrid) else obj
     values = np.asarray(raster.values, dtype=np.float64)
     na = np.array([raster.nodata_value], dtype=np.float64)
     (na_token,) = _row_formatter(na)(na)
     format_row = _row_formatter(values)
+    step = max(1, _WRITE_BLOCK // raster.n_cols)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"NCOLS {raster.n_cols}\n"
@@ -593,11 +629,23 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
             f"CELLSIZE {repr(float(raster.pixel_size))}\n"
             f"NODATA_VALUE {na_token}\n"
         )
-        for row, row_na in zip(values[::-1], raster.nodata[::-1]):  # top row first
-            tokens = list(format_row(row))
-            for c in np.flatnonzero(row_na).tolist():
-                tokens[c] = na_token
-            fh.write(" ".join(tokens) + "\n")
+        values, nodata = values[::-1], raster.nodata[::-1]  # top row first
+        for i in range(0, raster.n_rows, step):
+            fh.write(_format_block(values[i : i + step], nodata[i : i + step], format_row, na_token))
+
+
+def _format_block(block: np.ndarray, block_na: np.ndarray, format_row, na_token: str) -> str:
+    """The text of a block of rows, each distinct bit pattern (so ``-0.0``
+    apart from ``0.0``) formatted once."""
+    bits = block.view(np.int64)
+    # np.sort then searchsorted: np.unique(return_inverse=True) argsorts,
+    # which is twice as slow on a block of few distinct values
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
+    table = np.array([*format_row(distinct.view(np.float64)), na_token], dtype=object)
+    index = np.searchsorted(distinct, bits)
+    index[block_na] = distinct.size
+    return "".join(" ".join(row) + "\n" for row in table[index].tolist())
 
 
 def raster_from_tile_mask(mask: TileMask) -> Raster:

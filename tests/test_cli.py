@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import builtins
 import json
 import math
@@ -586,6 +587,86 @@ class TestNonUtf8Input:
         bad.write_bytes(text.replace(b"NCOLS", b"NC\x80OLS", 1))
         with pytest.raises(errors.FormatError, match=r"not UTF-8 text: byte 0x80 at offset 2$"):
             io.read_ascii_grid(bad)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not part of any input's text."""
+
+    @staticmethod
+    def twin(path: Path, source: str | Path) -> Path:
+        path.write_bytes(BOM + Path(source).read_bytes())
+        return path
+
+    @pytest.mark.parametrize("role", ["admin", "poi-geojson", "poi-csv", "grid", "config"])
+    def test_reads_equal_its_twin_without_a_bom(self, tmp_path, data_dir, role):
+        source = {
+            "admin": data_dir / "admin.geojson",
+            "poi-geojson": data_dir / "poi.geojson",  # found by read_poi's sniff
+            "poi-csv": data_dir / "poi.csv",
+            "grid": data_dir / "mask.asc",
+            "config": tmp_path / "plain.json",
+        }[role]
+        if role == "config":
+            source.write_text('{"level": "circle", "poi_radius": 55.5, "n_cols": 7}')
+        bom = self.twin(tmp_path / ("bom" + source.suffix), source)
+        if role == "admin":
+            assert io.read_admin_units(bom) == io.read_admin_units(source)
+        elif role.startswith("poi"):
+            assert io.read_poi(bom).points == io.read_poi(source).points
+            assert len(io.read_poi(bom)) > 0
+        elif role == "grid":
+            got, want = io.read_ascii_grid(bom), io.read_ascii_grid(source)
+            assert got.grid == want.grid and got.nodata_value == want.nodata_value
+            assert got.values.tobytes() == want.values.tobytes()
+            assert np.array_equal(got.nodata, want.nodata)
+        else:
+            load = lambda p: cli._load_config(argparse.Namespace(config=str(p)))  # noqa: E731
+            assert load(bom) == load(source) != cli.PipelineConfig()
+
+    def test_run_on_bom_inputs_writes_the_same_bytes(self, tmp_path, scenario, monkeypatch):
+        read = []
+
+        def spy(reader):
+            def spied(path, *args, **kwargs):
+                read.append(Path(path))
+                return reader(path, *args, **kwargs)
+
+            return spied
+
+        for name in ("read_text", "read_admin_units", "read_poi", "read_ascii_grid"):
+            monkeypatch.setattr(io, name, spy(getattr(io, name)))
+        outs = {}
+        for kind in ("plain", "bom"):
+            paths = {role: scenario[role] for role in ("admin", "poi", "mask")}
+            if kind == "bom":
+                paths = {role: str(self.twin(tmp_path / Path(p).name, p)) for role, p in paths.items()}
+            config = tmp_path / f"{kind}.json"
+            config.write_text(json.dumps({**paths, "n_cols": 32, "n_rows": 32, "origin_x": 0, "origin_y": 0}))
+            if kind == "bom":
+                self.twin(config, config)
+            outs[kind] = tmp_path / f"out-{kind}"
+            read.clear()
+            assert main(["run", "--config", str(config), "--out", str(outs[kind])]) == 0
+            assert {config, *map(Path, paths.values())} <= set(read)
+        # the bom run read only BOM-prefixed files: its config and each twin
+        assert {p.read_bytes()[: len(BOM)] for p in read} == {BOM}
+        for name in ("population.asc", "tile_mask.asc", "report.json"):
+            assert (outs["bom"] / name).read_bytes() == (outs["plain"] / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["admin.geojson", "poi.geojson", "poi.csv", "mask.asc"])
+    def test_a_later_byte_that_is_not_utf8_keeps_its_file_offset(self, tmp_path, data_dir, name):
+        bom = self.twin(tmp_path / ("bom-" + name), data_dir / name)
+        bad = tmp_path / name
+        offset = append_byte(bad, str(bom))
+        assert offset == len(BOM) + (data_dir / name).stat().st_size
+        reader = {".geojson": io.read_admin_units, ".csv": io.read_poi, ".asc": io.read_ascii_grid}[bad.suffix]
+        if name == "poi.geojson":
+            reader = io.read_poi
+        with pytest.raises(errors.FormatError, match=rf"not UTF-8 text: byte 0xff at offset {offset}$"):
+            reader(bad)
 
 
 class TestFilterPoi:

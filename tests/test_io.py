@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -612,6 +613,141 @@ class TestAsciiGrid:
         mask = TileMask(grid=grid, retained=np.array([[True, False], [True, True]]))
         r = io.raster_from_tile_mask(mask)
         assert r.values.tolist() == [[1.0, 0.0], [1.0, 1.0]]
+
+
+_DIGITS = st.text("0123456789", min_size=30, max_size=40)
+_grid_tokens = st.one_of(
+    st.floats().map(repr),
+    st.tuples(st.sampled_from(["", "-", "+"]), _DIGITS, st.integers(0, 40)).map(
+        lambda t: t[0] + t[1][: t[2]] + "." + t[1][t[2] :]
+    ),
+    st.sampled_from(
+        ["inf", "-inf", "+inf", "Inf", "INF", "infinity", "-Infinity", "+iNfInItY", "nan", "-nan", "+NaN", "NAN"]
+    ),
+    st.sampled_from(["+1", ".5", "5.", "-0", "-0.0", "0", "1e5", "1E-5", "+.5e+3", "1e400", "-9999"]),
+    st.sampled_from(["1_0", "1_000.5", "١٢", "١.٥", "３"]),  # float() only
+    st.sampled_from(["x", "1e", "--1", "nan(1)", "0x10", "#", "1#2", "infinit"]),  # neither
+)
+
+
+@st.composite
+def grid_texts(draw) -> str:
+    """ESRI ASCII grid text with an awkward body: any layout, any separators,
+    tokens ``float`` accepts and numpy may not, and sometimes a value short
+    or over."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    numeric = st.sampled_from(["0", "1", "2.5", "-0.0", "1e-300"]) | _grid_tokens.filter(_is_float)
+    tokens = draw(st.lists(draw(st.sampled_from([numeric, _grid_tokens])), min_size=1, max_size=n_rows * n_cols + 1))
+    if len(tokens) < n_rows * n_cols and draw(st.booleans()):
+        tokens += ["1"] * (n_rows * n_cols - len(tokens))  # usually the right count
+    sep = draw(st.sampled_from([" ", "  ", "\t", "\xa0", " \x0b", "\x0c"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\x0b", "\x0c"]))
+    width = draw(st.sampled_from([n_cols, n_cols, 1, max(1, n_cols - 1), n_cols + 1]))  # 1: one per line
+    lines = [sep.join(tokens[i : i + width]) for i in range(0, len(tokens), width)]
+    comment = draw(st.sampled_from([None, None, None, "#", " # 1"]))  # a "#" ends no line early
+    if comment:
+        lines[draw(st.integers(0, len(lines) - 1))] += comment
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\xa0"])))
+    header = f"NCOLS {n_cols}\nNROWS {n_rows}\nXLLCORNER 0.0\nYLLCORNER 0.0\nCELLSIZE 15.0\nNODATA_VALUE -9999\n"
+    return header + eol.join(lines) + eol
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def read_outcome(path: Path):
+    """What a read of ``path`` gives: the raster's bits, or the error's type
+    and message."""
+    try:
+        r = io.read_ascii_grid(path)
+    except PopgridError as e:
+        return type(e), str(e)
+    return r.grid, r.nodata_value, r.values.view(np.int64).tobytes(), r.nodata.tobytes()
+
+
+_NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF]
+_palette_values = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, 2.0**53 + 2, 5e-324]
+) | st.sampled_from(_NAN_BITS).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))) | _reals
+
+
+class TestGridFastPaths:
+    """numpy parses one-row-per-line bodies and the streamed reader every
+    other; the writer formats each distinct value of a block once. Both must
+    give what the plain per-cell code gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=grid_texts())
+    def test_read_equals_the_streamed_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("grid") / "g.asc"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(io, "_parse_rows", lambda *args: None):
+            want = read_outcome(p)
+        assert read_outcome(p) == want
+
+    def test_numpy_parses_one_row_per_line_only(self, data_dir):
+        lines = (data_dir / "mask.asc").read_text().splitlines()
+        assert io._parse_rows(lines, 6, 8, 8) is not None
+        assert io._parse_rows(lines + ["", " \xa0"], 6, 8, 8) is not None  # blank lines do not count
+        column = lines[:6] + " ".join(lines[6:]).split()  # one value per line
+        with mock.patch.object(io.np, "loadtxt", side_effect=AssertionError("more lines than rows")):
+            assert io._parse_rows(column, 6, 8, 8) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_write_matches_per_cell_reference(self, tmp_path_factory, data):
+        n_rows, n_cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        block = data.draw(st.sampled_from([1, 2, 5, 16, 2**12]))  # n_cols > block, and not dividing it
+        palette = data.draw(st.lists(_palette_values, min_size=1, max_size=6))
+        n = n_rows * n_cols
+        if data.draw(st.booleans()):  # few distinct values
+            cells = data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+        else:  # about all distinct
+            cells = data.draw(st.lists(_reals | _palette_values, min_size=n, max_size=n))
+        flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        raster = io.Raster(
+            0.0,
+            0.0,
+            30.0,
+            np.array(cells, dtype=np.float64).reshape(n_rows, n_cols),
+            np.array(flags).reshape(n_rows, n_cols),
+            data.draw(_nodata_values),
+        )
+        p = tmp_path_factory.mktemp("grid") / "g.asc"
+        with mock.patch.object(io, "_WRITE_BLOCK", block):
+            io.write_ascii_grid(raster, p)
+        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+
+    @pytest.mark.parametrize("n_cols", [4096 + 37, 1000, 3])
+    def test_write_of_real_blocks_matches_per_cell_reference(self, tmp_path, n_cols):
+        rng = np.random.default_rng(n_cols)
+        values = rng.choice([0.0, -0.0, 0.1, 2.5e-8, 7.0], size=(2 + 9000 // n_cols, n_cols))
+        values[-1] = rng.random(n_cols)  # one block of distinct reals
+        raster = io.Raster(0.0, 0.0, 30.0, values, rng.random(values.shape) < 0.1)
+        p = tmp_path / "g.asc"
+        io.write_ascii_grid(raster, p)
+        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+
+    @pytest.mark.parametrize("distinct, formatted_cells", [(3, 3), (2048, 2048), (4096, 4096)])
+    def test_each_distinct_value_is_formatted_once_per_block(self, tmp_path, monkeypatch, distinct, formatted_cells):
+        formatted = []
+        row_formatter = io._row_formatter
+
+        def counting(values):
+            fmt = row_formatter(values)
+            return lambda row: (formatted.append(len(row)), fmt(row))[1]
+
+        monkeypatch.setattr(io, "_row_formatter", counting)
+        values = np.arange(64 * 64, dtype=np.float64).reshape(64, 64) % distinct + 0.5
+        io.write_ascii_grid(io.Raster(0.0, 0.0, 30.0, values), tmp_path / "g.asc")
+        # the nodata token, then one block of 4096 cells: each distinct value once
+        assert sum(formatted) == 1 + formatted_cells
 
 
 class TestRasterGrid:
