@@ -19,7 +19,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .geo import BBox, Point, Polygon, TileGrid, distance, point_in_polygon, tile_index_of
+from .geo import BBox, Point, Polygon, TileGrid, point_in_polygon
 from .io import (
     AdminLevel,
     AdminUnit,
@@ -31,7 +31,7 @@ from .io import (
     read_poi,
     write_ascii_grid,
 )
-from .poi_filter import PoiPoint, PoiSet, TileMask, buffer_count, compute_tile_mask, dense_pois
+from .poi_filter import PoiSet, TileMask, buffer_count, compute_tile_mask
 from .disaggregate import (
     AllocationReport,
     PixelAssignment,
@@ -63,7 +63,6 @@ __all__ = [
     "ParseError",
     "PixelAssignment",
     "Point",
-    "PoiPoint",
     "PoiSet",
     "Polygon",
     "PopgridError",
@@ -81,8 +80,6 @@ __all__ = [
     "buffer_count",
     "compute_tile_mask",
     "confusion",
-    "dense_pois",
-    "distance",
     "downsample_to_tiles",
     "generate",
     "metrics",
@@ -92,7 +89,6 @@ __all__ = [
     "read_poi",
     "run_disaggregation",
     "score",
-    "tile_index_of",
     "write_ascii_grid",
     "zonal_stats",
 ]

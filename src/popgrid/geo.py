@@ -9,6 +9,9 @@ that fall exactly on a ring edge: the exterior boundary belongs to the
 polygon, a hole boundary does not belong to the hole (i.e. the polygon is
 the closed exterior minus the open interiors of its holes).
 
+A polygon holds each ring once, as read-only float64 ``(xs, ys)`` arrays
+checked with the ``as_real`` rule; ``Point`` views are built on demand.
+
 The bulk membership kernel evaluates the scalar kernel's own expressions,
 each edge on the y-sorted points of its y-band, so bulk classification of
 pixel/tile centers agrees bit-for-bit with the scalar functions.
@@ -61,11 +64,6 @@ class Point:
         object.__setattr__(self, "y", _require_finite(self.y, "Point.y"))
 
 
-def distance(a: Point, b: Point) -> float:
-    """Euclidean planar distance in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 @dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned bounding box (closed on all sides)."""
@@ -108,15 +106,35 @@ class BBox:
         return self.max_y - self.min_y
 
 
-def _normalize_ring(ring: Sequence, what: str) -> tuple[Point, ...]:
-    """Normalize a ring to an open tuple of Points (no repeated last vertex)."""
-    pts = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in ring]
-    if len(pts) >= 2 and pts[0].x == pts[-1].x and pts[0].y == pts[-1].y:
-        pts = pts[:-1]
-    distinct = {(p.x, p.y) for p in pts}
-    if len(distinct) < 3:
-        raise GeometryError(f"{what} needs at least 3 distinct vertices, got {len(distinct)}")
-    return tuple(pts)
+def finite_coords(xs: Sequence, ys: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` and ``ys`` as read-only float64 arrays under the ``as_real`` rule;
+    the first point with a refused coordinate raises the error ``Point`` does."""
+    arrays = [
+        np.array(v) if isinstance(v, np.ndarray) and v.dtype == np.float64 else np.fromiter(map(as_real, v), np.float64)
+        for v in (xs, ys)
+    ]
+    if arrays[0].shape != arrays[1].shape:
+        raise ValidationError(f"coordinate arrays differ in length: {len(arrays[0])} xs, {len(arrays[1])} ys")
+    bad = np.flatnonzero(~(np.isfinite(arrays[0]) & np.isfinite(arrays[1])))
+    if bad.size:
+        Point(xs[bad[0]], ys[bad[0]])
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0], arrays[1]
+
+
+def _ring(ring: Sequence, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A ring of Points or [x, y] pairs as open (xs, ys) arrays (no repeated last vertex)."""
+    xs, ys = finite_coords(
+        [v.x if isinstance(v, Point) else v[0] for v in ring],
+        [v.y if isinstance(v, Point) else v[1] for v in ring],
+    )
+    if len(xs) >= 2 and xs[0] == xs[-1] and ys[0] == ys[-1]:
+        xs, ys = xs[:-1], ys[:-1]
+    distinct = len(set(zip(xs.tolist(), ys.tolist())))
+    if distinct < 3:
+        raise GeometryError(f"{what} needs at least 3 distinct vertices, got {distinct}")
+    return xs, ys
 
 
 def _ring_signed_area(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -126,52 +144,62 @@ def _ring_signed_area(xs: np.ndarray, ys: np.ndarray) -> float:
     return 0.5 * float(np.sum(xs * y2 - x2 * ys))
 
 
-@dataclass(frozen=True)
+def _points(xs: np.ndarray, ys: np.ndarray) -> tuple[Point, ...]:
+    return tuple(map(Point, xs.tolist(), ys.tolist()))
+
+
 class Polygon:
     """A simple polygon with optional holes.
 
-    Rings may be given closed (first vertex repeated at the end) or open;
-    they are stored open. Exterior non-self-intersection is assumed of the
-    input and only checked cheaply (vertex count, nonzero area).
+    Rings may be given as Points or [x, y] pairs, closed (first vertex
+    repeated at the end) or open. ``rings`` holds them once, open, as
+    read-only float64 ``(xs, ys)`` arrays, exterior first; ``exterior`` and
+    ``holes`` build Point views on demand. Exterior non-self-intersection is
+    assumed of the input and only checked cheaply (vertex count, nonzero area).
     """
 
-    exterior: tuple[Point, ...]
-    holes: tuple[tuple[Point, ...], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "exterior", _normalize_ring(self.exterior, "exterior ring"))
-        object.__setattr__(
-            self,
-            "holes",
-            tuple(_normalize_ring(h, f"hole ring {i}") for i, h in enumerate(self.holes)),
-        )
-        for i, (xs, ys) in enumerate(self._rings):
+    def __init__(self, exterior: Sequence, holes: Sequence[Sequence] = ()):
+        rings = (_ring(exterior, "exterior ring"),)
+        rings += tuple(_ring(h, f"hole ring {i}") for i, h in enumerate(holes))
+        for i, (xs, ys) in enumerate(rings):
             if abs(_ring_signed_area(xs, ys)) <= 0.0:
                 ring = "exterior ring" if i == 0 else f"hole ring {i - 1}"
                 raise GeometryError(f"{ring} has zero area")
+        self.rings: tuple[tuple[np.ndarray, np.ndarray], ...] = rings
 
-    @cached_property
-    def _rings(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return (_ring_arrays(self.exterior),) + tuple(_ring_arrays(h) for h in self.holes)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polygon):
+            return NotImplemented
+        return len(self.rings) == len(other.rings) and all(
+            np.array_equal(a, b) for r, q in zip(self.rings, other.rings) for a, b in zip(r, q)
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(a.tolist()) for ring in self.rings for a in ring))
+
+    def __repr__(self) -> str:
+        return f"Polygon(exterior={self.exterior!r}, holes={self.holes!r})"
+
+    @property
+    def exterior(self) -> tuple[Point, ...]:
+        return _points(*self.rings[0])
+
+    @property
+    def holes(self) -> tuple[tuple[Point, ...], ...]:
+        return tuple(_points(xs, ys) for xs, ys in self.rings[1:])
 
     @cached_property
     def bbox(self) -> BBox:
-        xs, ys = self._rings[0]
+        xs, ys = self.rings[0]
         return BBox(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
 
     @cached_property
     def area(self) -> float:
         """Exterior area minus hole areas."""
-        a = abs(_ring_signed_area(*self._rings[0]))
-        for rx, ry in self._rings[1:]:
+        a = abs(_ring_signed_area(*self.rings[0]))
+        for rx, ry in self.rings[1:]:
             a -= abs(_ring_signed_area(rx, ry))
         return a
-
-
-def _ring_arrays(ring: tuple[Point, ...]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([p.x for p in ring], dtype=np.float64)
-    ys = np.array([p.y for p in ring], dtype=np.float64)
-    return xs, ys
 
 
 def rectangle(min_x: float, min_y: float, max_x: float, max_y: float) -> Polygon:
@@ -239,7 +267,7 @@ def _ring_hits_bulk(
 
 def point_in_polygon(p: Point, poly: Polygon) -> bool:
     """Even-odd membership with the documented boundary tie rule."""
-    rings = poly._rings
+    rings = poly.rings
     ext_in, ext_on = _ring_hits(rings[0][0], rings[0][1], p.x, p.y)
     if not (ext_in or ext_on):
         return False
@@ -257,9 +285,9 @@ def points_in_polygon(pxs: np.ndarray, pys: np.ndarray, poly: Polygon) -> np.nda
     order = np.argsort(pys, axis=None, kind="stable")
     sx = np.asarray(pxs, dtype=np.float64).ravel()[order]
     sy = pys.ravel()[order]
-    ext_in, ext_on = _ring_hits_bulk(*poly._rings[0], sx, sy)
+    ext_in, ext_on = _ring_hits_bulk(*poly.rings[0], sx, sy)
     hit = ext_in | ext_on
-    for hx, hy in poly._rings[1:]:
+    for hx, hy in poly.rings[1:]:
         h_in, h_on = _ring_hits_bulk(hx, hy, sx, sy)
         hit &= ~(h_in & ~h_on)
     result = np.empty(pys.shape, dtype=bool)
@@ -358,11 +386,6 @@ class TileGrid:
         )
 
 
-def tile_index_of(grid: TileGrid, p: Point) -> TileId | None:
-    """Module-level alias for :meth:`TileGrid.tile_index_of`."""
-    return grid.tile_index_of(p)
-
-
 def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon], where=None) -> np.ndarray:
     """Flat indices (sorted, row-major) of tiles whose centers fall in any part,
     among the tiles marked by ``where`` (flat bool array) if it is given."""
@@ -407,7 +430,7 @@ def representative_point(parts: Sequence[Polygon]) -> Point:
     (which is on the boundary and therefore inside by the tie rule).
     """
     part = max(parts, key=lambda p: abs(p.area))
-    xs, ys = part._rings[0]
+    xs, ys = part.rings[0]
     x2 = np.roll(xs, -1)
     y2 = np.roll(ys, -1)
     cross = xs * y2 - x2 * ys
@@ -436,4 +459,4 @@ def representative_point(parts: Sequence[Polygon]) -> Point:
         candidate = Point((crossings[k] + crossings[k + 1]) / 2.0, mid_y)
         if point_in_polygon(candidate, part):
             return candidate
-    return part.exterior[0]
+    return Point(float(xs[0]), float(ys[0]))

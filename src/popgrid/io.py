@@ -13,6 +13,9 @@ member ``"coordinate_units": "meters"``; readers reject collections whose
 ``crs``/``coordinate_units`` member declares a geographic (degree) system.
 With ``require_projected`` (every CLI command sets it), ``read_admin_units``
 also rejects degree-like coordinates in a collection declaring no meter units.
+Readers check each coordinate with the ``geo.as_real`` rule as they meet it
+and hand rings and POIs on as float arrays (``Polygon.rings``, ``PoiSet(xs,
+ys, categories)``); writers format those arrays from ``tolist()``.
 
 ESRI ASCII grids are read a line at a time, never holding a string per cell:
 numpy parses a body laid out one grid row per line, and the streamed reader
@@ -47,8 +50,8 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .geo import BBox, Point, Polygon, TileGrid, parts_bbox
-from .poi_filter import PoiPoint, PoiSet, TileMask
+from .geo import BBox, Polygon, TileGrid, _require_finite, as_real, parts_bbox
+from .poi_filter import PoiSet, TileMask
 
 _ASCII_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 _GEOGRAPHIC_TOKENS = ("4326", "wgs84", "crs84", "degree", "longlat", "geographic")
@@ -87,7 +90,7 @@ class AdminUnit:
         object.__setattr__(self, "geometry", tuple(self.geometry))
         if not self.geometry:
             raise ValidationError(f"admin unit {self.id!r} has no geometry")
-        pop = float(self.population)
+        pop = as_real(self.population)
         if not math.isfinite(pop) or pop < 0:
             raise ValidationError(f"admin unit {self.id!r} has invalid population {self.population!r}")
         object.__setattr__(self, "population", pop)
@@ -272,11 +275,17 @@ def _features(doc: dict, path: str | Path) -> list[dict]:
     return feats
 
 
-def _coord_pair(value: object, where: str) -> Point:
+def _coord_pair(value: object, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) < 2:
         raise SchemaError(f"{where}: coordinate must be an [x, y] array, got {value!r}")
+    return _finite_pair(value[0], value[1], where)
+
+
+def _finite_pair(x: object, y: object, where: str) -> tuple[float, float]:
+    """(x, y) as floats under the ``as_real`` rule; a refused one raises the
+    error ``Point`` does, after ``where``."""
     try:
-        return Point(value[0], value[1])
+        return _require_finite(x, "Point.x"), _require_finite(y, "Point.y")
     except ValidationError as e:
         raise ValidationError(f"{where}: {e}") from None
 
@@ -343,11 +352,9 @@ def read_admin_units(
             raise LevelMismatchError(
                 f"{where}: level {level.value!r} does not match expected {level_seen.value!r}"
             )
-        raw_pop = _required_property(props, "population", where)
-        try:
-            population = float(raw_pop)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{where}: population {raw_pop!r} is not a number") from None
+        population = _required_property(props, "population", where)
+        if isinstance(population, bool) or not isinstance(population, (int, float)):
+            raise SchemaError(f"{where}: population {population!r} is not a number")
         if fid in seen_ids:
             raise ValidationError(f"{where}: duplicate admin unit id")
         seen_ids.add(fid)
@@ -383,10 +390,9 @@ def write_admin_units(units: Sequence[AdminUnit], path: str | Path) -> None:
 
 
 def _rings_to_coords(poly: Polygon) -> list[list[list[float]]]:
-    rings = [poly.exterior] + list(poly.holes)
     out = []
-    for ring in rings:
-        coords = [[p.x, p.y] for p in ring]
+    for xs, ys in poly.rings:
+        coords = list(map(list, zip(xs.tolist(), ys.tolist())))
         coords.append(coords[0])  # close per GeoJSON convention
         out.append(coords)
     return out
@@ -414,19 +420,21 @@ def read_poi(path: str | Path) -> PoiSet:
 def _read_poi_geojson(path: Path) -> PoiSet:
     doc = _load_json(path)
     _reject_geographic(doc, path)
-    points = []
+    name = str(path)  # formatted once, not once a feature
+    xs, ys, categories = [], [], []
     for i, feat in enumerate(_features(doc, path)):
         if not isinstance(feat, dict):
-            raise SchemaError(f"{path}: feature #{i} is not an object")
+            raise SchemaError(f"{name}: feature #{i} is not an object")
         geom = feat.get("geometry")
         if not isinstance(geom, dict) or geom.get("type") != "Point":
             got = geom.get("type") if isinstance(geom, dict) else None
-            raise SchemaError(f"{path}: feature #{i}: POI geometry must be Point, got {got!r}")
-        loc = _coord_pair(geom.get("coordinates"), f"{path}: feature #{i}")
+            raise SchemaError(f"{name}: feature #{i}: POI geometry must be Point, got {got!r}")
+        x, y = _coord_pair(geom.get("coordinates"), f"{name}: feature #{i}")
         props = feat.get("properties") or {}
-        category = str(props.get("category", "") or "")
-        points.append(PoiPoint(location=loc, category=category))
-    return PoiSet(points)
+        xs.append(x)
+        ys.append(y)
+        categories.append(str(props.get("category", "") or ""))
+    return PoiSet(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), categories)
 
 
 def _read_poi_csv(path: Path) -> PoiSet:
@@ -435,12 +443,13 @@ def _read_poi_csv(path: Path) -> PoiSet:
         try:
             header = next(reader)
         except StopIteration:
-            return PoiSet(())
+            return PoiSet()
         header = [h.strip().lower() for h in header]
         if header[:2] != ["x", "y"]:
             raise SchemaError(f"{path}: expected CSV header x,y[,category], got {header}")
         has_category = len(header) > 2 and header[2] == "category"
-        points = []
+        name = str(path)  # formatted once, not once a row
+        xs, ys, categories = [], [], []
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -453,31 +462,24 @@ def _read_poi_csv(path: Path) -> PoiSet:
                 raise ValidationError(
                     f"{path}: row {row_no}: unparseable coordinate {row[:2]!r}"
                 ) from None
-            try:
-                loc = Point(x, y)
-            except ValidationError as e:
-                raise ValidationError(f"{path}: row {row_no}: {e}") from None
-            category = row[2].strip() if has_category and len(row) > 2 else ""
-            points.append(PoiPoint(location=loc, category=category))
-    return PoiSet(points)
+            x, y = _finite_pair(x, y, f"{name}: row {row_no}")
+            xs.append(x)
+            ys.append(y)
+            categories.append(row[2].strip() if has_category and len(row) > 2 else "")
+    return PoiSet(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), categories)
 
 
-def write_poi_csv(pois: Iterable[PoiPoint], path: str | Path) -> None:
+def write_poi_csv(pois: PoiSet, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "category"])
-        for p in pois:
-            writer.writerow([repr(p.location.x), repr(p.location.y), p.category])
+        writer.writerows(zip(map(repr, pois.xs.tolist()), map(repr, pois.ys.tolist()), pois.categories))
 
 
-def write_poi_geojson(pois: Iterable[PoiPoint], path: str | Path) -> None:
+def write_poi_geojson(pois: PoiSet, path: str | Path) -> None:
     features = [
-        {
-            "type": "Feature",
-            "properties": {"category": p.category},
-            "geometry": {"type": "Point", "coordinates": [p.location.x, p.location.y]},
-        }
-        for p in pois
+        {"type": "Feature", "properties": {"category": c}, "geometry": {"type": "Point", "coordinates": [x, y]}}
+        for x, y, c in zip(pois.xs.tolist(), pois.ys.tolist(), pois.categories)
     ]
     doc = {"type": "FeatureCollection", "coordinate_units": "meters", "features": features}
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -600,7 +602,9 @@ def _row_formatter(values: np.ndarray):
     step = max(1, _RULE_BLOCK // max(1, values.shape[-1]))
     for i in range(0, len(values), step):
         block = values[i : i + step]
-        if not ((block == np.floor(block)) & (np.abs(block) < 2**53)).all():  # false for inf and nan
+        with np.errstate(invalid="ignore"):  # np.floor of a signaling NaN warns
+            integral = (block == np.floor(block)) & (np.abs(block) < 2**53)  # false for inf and nan
+        if not integral.all():
             return lambda row: map(repr, row.tolist())
     return lambda row: map(str, row.astype(np.int64).tolist())
 

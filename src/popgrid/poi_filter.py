@@ -5,6 +5,9 @@ A tile is dropped when some POI inside it has at least ``threshold`` POIs
 residential fabric therefore rarely remove tiles; dense commercial clusters
 do.
 
+A ``PoiSet`` holds read-only float64 arrays ``xs`` and ``ys`` and a tuple
+of ``categories``, one per point.
+
 Buffer membership is a closed disc evaluated on squared distances
 (dx*dx + dy*dy <= radius*radius), so counts are exactly reproducible and
 monotone in the radius. The center POI always counts toward its own buffer:
@@ -22,54 +25,38 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .geo import Point, TileGrid, as_real
+from .geo import Point, TileGrid, as_real, finite_coords
 
-__all__ = ["PoiPoint", "PoiSet", "TileMask", "buffer_count", "dense_pois", "compute_tile_mask"]
+__all__ = ["PoiSet", "TileMask", "buffer_count", "compute_tile_mask"]
 
 _PAIR_BLOCK = 2**16  # point pairs tested at once by PoiSet._pair_counts
 
 
-@dataclass(frozen=True, slots=True)
-class PoiPoint:
-    """A point of interest with a free-form category label."""
-
-    location: Point
-    category: str = ""
-
-
 class PoiSet:
-    """Immutable POI collection with exact closed-disc radius queries: the
-    single-center queries scan every point, ``buffer_counts`` and ``dense``
-    hash them."""
+    """Immutable POI collection: read-only float64 arrays ``xs`` and ``ys``,
+    and one free-form category label per point (all "" when none are given),
+    with exact closed-disc radius queries: the single-center queries scan
+    every point, ``buffer_counts`` and ``dense`` hash them."""
 
-    def __init__(self, points: Iterable[PoiPoint]):
-        self._points: tuple[PoiPoint, ...] = tuple(points)
-        self._xs = np.array([p.location.x for p in self._points], dtype=np.float64)
-        self._ys = np.array([p.location.y for p in self._points], dtype=np.float64)
-
-    @property
-    def points(self) -> tuple[PoiPoint, ...]:
-        return self._points
+    def __init__(self, xs: Sequence = (), ys: Sequence = (), categories: Sequence[str] | None = None):
+        self.xs, self.ys = finite_coords(xs, ys)
+        self.categories: tuple[str, ...] = ("",) * len(self.xs) if categories is None else tuple(categories)
+        if len(self.categories) != len(self.xs):
+            raise ValidationError(f"{len(self.categories)} categories for {len(self.xs)} POIs")
 
     def __len__(self) -> int:
-        return len(self._points)
-
-    def __iter__(self) -> Iterator[PoiPoint]:
-        return iter(self._points)
+        return len(self.xs)
 
     def _within(self, x: float, y: float, radius: float) -> np.ndarray:
-        dx = self._xs - x
-        dy = self._ys - y
+        """Whether each point lies within the closed disc of ``radius`` around (x, y)."""
+        dx = self.xs - x
+        dy = self.ys - y
         return dx * dx + dy * dy <= radius * radius
-
-    def indices_within(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Sorted indices of points within the closed disc of ``radius``."""
-        return np.flatnonzero(self._within(x, y, radius))
 
     def count_within(self, x: float, y: float, radius: float) -> int:
         return int(np.count_nonzero(self._within(x, y, radius)))
@@ -78,7 +65,7 @@ class PoiSet:
         """``count_within`` at every point, input order, exact: the grid-hashed
         pair pass of ``_pair_counts`` over every point."""
         radius = _check_radius_threshold(radius)
-        return self._pair_counts(radius, np.arange(len(self._points)))
+        return self._pair_counts(radius, np.arange(len(self.xs)))
 
     def dense(self, radius: float, threshold: int) -> np.ndarray:
         """Whether each point's buffer holds at least ``threshold`` points,
@@ -94,16 +81,16 @@ class PoiSet:
         The points left undecided are counted exactly by ``_pair_counts``.
         """
         radius = _check_radius_threshold(radius, threshold)
-        n = len(self._points)
+        n = len(self.xs)
         if n == 0:
             return np.zeros(0, dtype=bool)
         # Float keys: a tiny radius puts x / side beyond the int64 range, or at
         # inf; an overflow only merges cells, which the certificate allows.
         side = radius / math.sqrt(2.0)
         with np.errstate(over="ignore"):
-            kx, ky = np.floor(self._xs / side), np.floor(self._ys / side)
+            kx, ky = np.floor(self.xs / side), np.floor(self.ys / side)
             order = np.lexsort((ky, kx))
-            kx, ky, xs, ys = kx[order], ky[order], self._xs[order], self._ys[order]
+            kx, ky, xs, ys = kx[order], ky[order], self.xs[order], self.ys[order]
             start = np.flatnonzero(np.concatenate(([True], (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]))))
             size = np.diff(np.append(start, n))
             dx = np.maximum.reduceat(xs, start) - np.minimum.reduceat(xs, start)
@@ -125,7 +112,7 @@ class PoiSet:
         counts = np.zeros(len(query), dtype=np.int64)
         if not len(query):
             return counts
-        big = float(max(np.abs(self._xs).max(), np.abs(self._ys).max()))
+        big = float(max(np.abs(self.xs).max(), np.abs(self.ys).max()))
         # Cover: with u = 2**-53, an accepted pair has |dx| <= radius*(1 + 2u), or
         # |dx| < 2**-500 (smaller squares may leave the normal range), so the exact
         # |xj - xi| is below radius*(1 + 2**-50) + 2**-499. Cell indices
@@ -135,14 +122,14 @@ class PoiSet:
         # 2**-20 relative and 2**-490 absolute to spare, so the 3x3 cells hold every
         # accepted pair. Overflow: |x| / cell <= 2**20, so int64 keys stay below 2**44.
         cell = radius + (radius + big) * 2.0**-20 + 2.0**-490
-        kx, ky = (np.floor(v / cell).astype(np.int64) for v in (self._xs, self._ys))
+        kx, ky = (np.floor(v / cell).astype(np.int64) for v in (self.xs, self.ys))
         width = int(ky.max() - ky.min()) + 3
         key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
         order = np.argsort(key, kind="stable")
         qkey = key[query]
         visit = np.argsort(qkey, kind="stable")  # query points cell by cell
-        key, xs, ys = key[order], self._xs[order], self._ys[order]
-        qx, qy = self._xs[query], self._ys[query]
+        key, xs, ys = key[order], self.xs[order], self.ys[order]
+        qx, qy = self.xs[query], self.ys[query]
         # A point's candidates are three runs of the sorted order, one per
         # neighbouring cell column (cells ky-1..ky+1 have adjacent keys).
         want = qkey[visit][:, None] + np.arange(-1, 2) * width
@@ -210,11 +197,6 @@ def buffer_count(pois: PoiSet, center: Point, radius: float) -> int:
     return pois.count_within(center.x, center.y, _check_radius_threshold(radius))
 
 
-def dense_pois(pois: PoiSet, radius: float, threshold: int) -> tuple[PoiPoint, ...]:
-    """The POIs whose buffer holds at least ``threshold`` points, input order."""
-    return tuple(pois.points[i] for i in np.flatnonzero(pois.dense(radius, threshold)))
-
-
 def compute_tile_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: int) -> TileMask:
     """Mark tiles that contain at least one dense POI as not retained.
 
@@ -222,7 +204,7 @@ def compute_tile_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: in
     the buffer counts of POIs inside it.
     """
     dense = pois.dense(radius, threshold)
-    cols, rows, inside = grid.tile_indices_of(pois._xs[dense], pois._ys[dense])
+    cols, rows, inside = grid.tile_indices_of(pois.xs[dense], pois.ys[dense])
     retained = np.ones((grid.n_rows, grid.n_cols), dtype=bool)
     retained[rows[inside], cols[inside]] = False
     return TileMask(grid=grid, retained=retained)

@@ -26,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .disaggregate import AllocationReport, allocate_uniform, run_disaggregation
 from .errors import AlignmentError, GenerationError, ValidationError
-from .geo import BBox, Point, TileGrid, _require_finite, rectangle
+from .geo import BBox, TileGrid, _require_finite, rectangle
 from .io import (
     AdminLevel,
     AdminUnit,
@@ -39,7 +38,7 @@ from .io import (
     write_ascii_grid,
     write_poi_geojson,
 )
-from .poi_filter import PoiPoint, PoiSet, compute_tile_mask
+from .poi_filter import PoiSet
 
 __all__ = ["ScenarioSpec", "GroundTruth", "ScoreResult", "generate", "score", "write_scenario"]
 
@@ -175,7 +174,8 @@ def _place_clusters(
     spec: ScenarioSpec,
     grid: TileGrid,
     built_tiles_per_unit: list[np.ndarray],
-) -> list[PoiPoint]:
+) -> tuple[list[float], list[float], list[str]]:
+    """Coordinates and categories of every cluster's POIs, cluster by cluster."""
     order = sorted(
         range(len(built_tiles_per_unit)),
         key=lambda k: (-built_tiles_per_unit[k].size, k),
@@ -184,7 +184,9 @@ def _place_clusters(
     if spec.n_poi_clusters > 0 and not eligible:
         raise GenerationError("POI clusters requested but no unit has built tiles")
     lo, hi = spec.poi_cluster_size_range
-    points: list[PoiPoint] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    categories: list[str] = []
     for i in range(spec.n_poi_clusters):
         unit_k = eligible[i % len(eligible)]
         tile_flat = int(rng.choice(built_tiles_per_unit[unit_k]))
@@ -192,17 +194,11 @@ def _place_clusters(
         size = int(rng.integers(lo, hi + 1))
         radii = _CLUSTER_DISC_RADIUS * np.sqrt(rng.random(size))
         angles = 2.0 * math.pi * rng.random(size)
-        for j in range(size):
-            points.append(
-                PoiPoint(
-                    location=Point(
-                        center.x + radii[j] * math.cos(angles[j]),
-                        center.y + radii[j] * math.sin(angles[j]),
-                    ),
-                    category=str(rng.choice(_CATEGORIES)),
-                )
-            )
-    return points
+        for r, a in zip(radii.tolist(), angles.tolist()):
+            xs.append(center.x + r * math.cos(a))
+            ys.append(center.y + r * math.sin(a))
+            categories.append(str(rng.choice(_CATEGORIES)))
+    return xs, ys, categories
 
 
 def _members(labels: np.ndarray, n: int) -> list[np.ndarray]:
@@ -257,13 +253,10 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
     built_tile = built.reshape(n_rows, ratio, n_cols, ratio).any(axis=(1, 3)).ravel()
     built_tiles_per_unit = [t[built_tile[t]] for t in _members(tile_label, spec.n_units)]
 
-    cluster_points: list[PoiPoint] = []
     poi_tile = np.zeros(grid.n_tiles, dtype=bool)
     for _ in range(_PLACEMENT_ROUNDS):
-        cluster_points = _place_clusters(rng, spec, grid, built_tiles_per_unit)
-        cols, rows, inside = grid.tile_indices_of(
-            [p.location.x for p in cluster_points], [p.location.y for p in cluster_points]
-        )
+        xs, ys, categories = _place_clusters(rng, spec, grid, built_tiles_per_unit)
+        cols, rows, inside = grid.tile_indices_of(xs, ys)
         poi_tile[:] = False
         poi_tile[grid.flat_index(cols[inside], rows[inside])] = True
         # every unit must keep a residential built pixel for its population,
@@ -277,13 +270,10 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
         )
 
     e = spec.extent
-    scattered = [
-        PoiPoint(
-            Point(rng.uniform(e.min_x, e.max_x), rng.uniform(e.min_y, e.max_y)),
-            str(rng.choice(_CATEGORIES)),
-        )
-        for _ in range(spec.n_scattered_pois)
-    ]
+    for _ in range(spec.n_scattered_pois):
+        xs.append(rng.uniform(e.min_x, e.max_x))
+        ys.append(rng.uniform(e.min_y, e.max_y))
+        categories.append(str(rng.choice(_CATEGORIES)))
 
     commercial = poi_tile.reshape(n_rows, n_cols).repeat(ratio, axis=0).repeat(ratio, axis=1)
     residential = (built == 1) & ~commercial.ravel()
@@ -317,7 +307,7 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
         spec=spec,
         grid=grid,
         units=units,
-        pois=PoiSet(cluster_points + scattered),
+        pois=PoiSet(xs, ys, categories),
         mask=BinaryRaster.on(pixels, built.reshape(prows, pcols)),
         pixel_population=Raster.on(pixels, pixel_pop.reshape(prows, pcols)),
         poi_tiles=frozenset(int(i) for i in np.flatnonzero(poi_tile)),
@@ -334,19 +324,6 @@ def score(estimate: PopulationGrid, truth: GroundTruth) -> ScoreResult:
     rmse = float(math.sqrt(np.mean(diff * diff)))
     total_error = abs(estimate.total() - truth_tiles.total())
     return ScoreResult(mae=mae, rmse=rmse, total_error=total_error)
-
-
-def run_default_pipeline(
-    truth: GroundTruth, radius: float = 500.0, threshold: int = 5
-) -> tuple[PopulationGrid, AllocationReport]:
-    """Run the full disaggregation on a generated scenario."""
-    tile_mask = compute_tile_mask(truth.grid, truth.pois, radius, threshold)
-    return run_disaggregation(truth.mask, truth.grid, truth.units, tile_mask)
-
-
-def uniform_baseline(truth: GroundTruth) -> PopulationGrid:
-    """Spread each unit's population evenly over its tiles (comparison baseline)."""
-    return allocate_uniform(truth.grid, truth.units)
 
 
 def write_scenario(truth: GroundTruth, out_dir: str | Path) -> dict[str, str]:

@@ -17,7 +17,7 @@ import pytest
 
 from popgrid import io, synth
 from popgrid.cli import main
-from popgrid.disaggregate import brute_force_allocate, run_disaggregation
+from popgrid.disaggregate import allocate_uniform, brute_force_allocate, run_disaggregation
 from popgrid.errors import (
     FormatError,
     GeometryError,
@@ -30,7 +30,7 @@ from popgrid.errors import (
 from popgrid.evaluate import ConfusionCounts, confusion, metrics
 from popgrid.geo import BBox, TileGrid, rectangle
 from popgrid.io import AdminLevel, AdminUnit, BinaryRaster
-from popgrid.poi_filter import PoiPoint, PoiSet, TileMask, compute_tile_mask
+from popgrid.poi_filter import PoiSet, TileMask, compute_tile_mask
 from popgrid.geo import Point
 
 DATA = Path(__file__).parent / "data"
@@ -51,12 +51,11 @@ def random_poi_set(rng: np.random.Generator, n: int, span: float) -> PoiSet:
             coords.append((cx + r * np.cos(a), cy + r * np.sin(a)))
     while len(coords) < n:
         coords.append(tuple(rng.uniform(0, span, 2)))
-    return PoiSet(PoiPoint(location=Point(x, y)) for x, y in coords)
+    return PoiSet([x for x, _ in coords], [y for _, y in coords])
 
 
 def brute_dense_indices(pois: PoiSet, radius: float, threshold: int) -> set[int]:
-    xs = np.array([p.location.x for p in pois])
-    ys = np.array([p.location.y for p in pois])
+    xs, ys = pois.xs, pois.ys
     dx = xs[:, None] - xs[None, :]
     dy = ys[:, None] - ys[None, :]
     counts = (dx * dx + dy * dy <= radius * radius).sum(axis=1)
@@ -148,14 +147,7 @@ def test_criterion_3_poi_filter_matches_quadratic_brute_force():
         pois = random_poi_set(rng, n, span)
         radius, threshold = 500.0, 5
         expected = brute_dense_indices(pois, radius, threshold)
-        from popgrid.poi_filter import dense_pois
-
-        got_points = dense_pois(pois, radius, threshold)
-        got = set()
-        dense_set = {id(p) for p in got_points}
-        for j, p in enumerate(pois):
-            if id(p) in dense_set:
-                got.add(j)
+        got = set(np.flatnonzero(pois.dense(radius, threshold)).tolist())
         assert got == expected, f"set {i}: dense POI mismatch"
         grid = TileGrid(
             origin_x=0.0,
@@ -166,9 +158,8 @@ def test_criterion_3_poi_filter_matches_quadratic_brute_force():
         )
         mask = compute_tile_mask(grid, pois, radius, threshold)
         brute_retained = np.ones((grid.n_rows, grid.n_cols), dtype=bool)
-        pts = pois.points
         for j in expected:
-            idx = grid.tile_index_of(pts[j].location)
+            idx = grid.tile_index_of(Point(pois.xs[j], pois.ys[j]))
             if idx is not None:
                 brute_retained[idx[1], idx[0]] = False
         assert np.array_equal(mask.retained, brute_retained), f"set {i}: mask mismatch"
@@ -259,9 +250,10 @@ def test_criterion_7_pipeline_beats_uniform_baseline():
             pixel_size=15.0,
         )
         truth = synth.generate(spec)
-        est, _ = synth.run_default_pipeline(truth)
+        tile_mask = compute_tile_mask(truth.grid, truth.pois, 500.0, 5)
+        est, _ = run_disaggregation(truth.mask, truth.grid, truth.units, tile_mask)
         proposed = synth.score(est, truth)
-        uniform = synth.score(synth.uniform_baseline(truth), truth)
+        uniform = synth.score(allocate_uniform(truth.grid, truth.units), truth)
         assert proposed.total_error <= 1e-9 * max(truth.total_population(), 1.0)
         if proposed.mae < uniform.mae:
             wins += 1

@@ -13,14 +13,12 @@ from popgrid.geo import (
     Point,
     Polygon,
     TileGrid,
-    distance,
     parts_bbox,
     point_in_polygon,
     points_in_polygon,
     rectangle,
     representative_point,
     tile_centers_in_parts,
-    tile_index_of,
 )
 
 from conftest import convex_contains, edge_distance, random_convex_polygon, slow_ray_cast
@@ -88,20 +86,19 @@ class TestPoint:
 
 class TestDistance:
     def test_three_four_five(self):
-        assert distance(Point(0, 0), Point(3, 4)) == 5.0
+        assert math.hypot(3 - 0, 4 - 0) == 5.0
 
     def test_identity(self):
-        assert distance(Point(17.5, -3.0), Point(17.5, -3.0)) == 0.0
+        assert math.hypot(17.5 - 17.5, -3.0 - -3.0) == 0.0
 
     @given(finite_coord, finite_coord, finite_coord, finite_coord)
     def test_symmetry(self, ax, ay, bx, by):
-        a, b = Point(ax, ay), Point(bx, by)
-        assert distance(a, b) == distance(b, a)
+        assert math.hypot(ax - bx, ay - by) == math.hypot(bx - ax, by - ay)
 
     @given(*(finite_coord,) * 6)
     def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
-        a, b, c = Point(ax, ay), Point(bx, by), Point(cx, cy)
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+        ab, bc, ac = math.hypot(ax - bx, ay - by), math.hypot(bx - cx, by - cy), math.hypot(ax - cx, ay - cy)
+        assert ac <= ab + bc + 1e-9
 
 
 class TestPolygonValidation:
@@ -125,6 +122,63 @@ class TestPolygonValidation:
             holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]],
         )
         assert with_hole.area == 96.0
+
+
+def point_rings(rings) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each ring as Points with a repeated closing vertex dropped, then its x
+    and y as arrays: the ring arrays of a polygon held as Point tuples."""
+    out = []
+    for ring in rings:
+        pts = [Point(x, y) for x, y in ring]
+        if len(pts) >= 2 and pts[0].x == pts[-1].x and pts[0].y == pts[-1].y:
+            pts = pts[:-1]
+        out.append((np.array([q.x for q in pts], dtype=np.float64), np.array([q.y for q in pts], dtype=np.float64)))
+    return out
+
+
+def ring_error(rings) -> str | None:
+    """The GeometryError text for Point-tuple rings: too few distinct vertices
+    in any ring, in order, else the first ring of zero shoelace area."""
+    names = ["exterior ring"] + [f"hole ring {i}" for i in range(len(rings) - 1)]
+    for name, (xs, ys) in zip(names, rings):
+        n = len({(x, y) for x, y in zip(xs.tolist(), ys.tolist())})
+        if n < 3:
+            return f"{name} needs at least 3 distinct vertices, got {n}"
+    for name, (xs, ys) in zip(names, rings):
+        if 0.5 * float(np.sum(xs * np.roll(ys, -1) - np.roll(xs, -1) * ys)) == 0.0:
+            return f"{name} has zero area"
+    return None
+
+
+ring_coord = st.sampled_from([0, 1, 2, 0.0, -0.0, 1.0, 2.5, 1e7]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings=st.lists(st.lists(st.tuples(ring_coord, ring_coord), max_size=7), min_size=1, max_size=3))
+def test_polygon_from_any_ring_form_holds_the_point_ring_arrays(rings):
+    assume(all(len(r) < 2 or r[0][0] != r[-1][0] or r[0][1] != r[-1][1] for r in rings))
+    forms = [
+        lambda r: [Point(x, y) for x, y in r],
+        lambda r: [[x, y] for x, y in r],
+        lambda r: tuple(r),
+    ]
+    want = point_rings(rings)
+    error = ring_error(want)
+    built = []
+    for closed in (False, True):
+        shaped = [r + r[:1] if closed else r for r in rings]
+        for form in forms:
+            if error is not None:
+                with pytest.raises(GeometryError) as e:
+                    Polygon(exterior=form(shaped[0]), holes=[form(h) for h in shaped[1:]])
+                assert str(e.value) == error
+                continue
+            poly = Polygon(exterior=form(shaped[0]), holes=[form(h) for h in shaped[1:]])
+            assert [(xs.tobytes(), ys.tobytes()) for xs, ys in poly.rings] == [
+                (xs.tobytes(), ys.tobytes()) for xs, ys in want
+            ]
+            built.append(poly)
+    assert all(poly == built[0] and hash(poly) == hash(built[0]) for poly in built)
 
 
 class TestPointInPolygon:
@@ -223,14 +277,14 @@ class TestTileGrid:
     grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=10, n_rows=10, tile_size=30.0)
 
     def test_origin_corner(self):
-        assert tile_index_of(self.grid, Point(0, 0)) == (0, 0)
+        assert self.grid.tile_index_of(Point(0, 0)) == (0, 0)
 
     def test_boundary_belongs_to_next_tile(self):
-        assert tile_index_of(self.grid, Point(30, 30)) == (1, 1)
+        assert self.grid.tile_index_of(Point(30, 30)) == (1, 1)
 
     def test_outside_is_none(self):
-        assert tile_index_of(self.grid, Point(-1, 5)) is None
-        assert tile_index_of(self.grid, Point(300, 5)) is None  # right edge is exclusive
+        assert self.grid.tile_index_of(Point(-1, 5)) is None
+        assert self.grid.tile_index_of(Point(300, 5)) is None  # right edge is exclusive
 
     def test_invariants(self):
         with pytest.raises(ValidationError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -25,8 +26,8 @@ from popgrid.errors import (
     TruncationError,
     ValidationError,
 )
-from popgrid.geo import TileGrid
-from popgrid.poi_filter import TileMask
+from popgrid.geo import TileGrid, rectangle
+from popgrid.poi_filter import PoiSet, TileMask
 
 
 class TestReadAdminUnits:
@@ -70,6 +71,13 @@ class TestReadAdminUnits:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             io.read_admin_units(p)
+
+    @pytest.mark.parametrize(
+        "population", [True, "1e3", 10**400, math.nan, -1.0], ids=["bool", "str", "overflow", "nan", "negative"]
+    )
+    def test_admin_unit_refuses_what_as_real_refuses(self, population):
+        with pytest.raises(ValidationError, match="invalid population"):
+            io.AdminUnit(id="a", level=io.AdminLevel.CIRCLE, geometry=(rectangle(0, 0, 1, 1),), population=population)
 
     def test_duplicate_id(self, tmp_path, data_dir):
         doc = json.loads((data_dir / "admin.geojson").read_text())
@@ -185,13 +193,13 @@ class TestReadPoi:
     def test_csv(self, data_dir):
         pois = io.read_poi(data_dir / "poi.csv")
         assert len(pois) == 3
-        assert pois.points[0].location.x == 45.0
-        assert pois.points[1].category == "school"
+        assert pois.xs[0] == 45.0
+        assert pois.categories[1] == "school"
 
     def test_geojson(self, data_dir):
         pois = io.read_poi(data_dir / "poi.geojson")
         assert len(pois) == 3
-        assert pois.points[2].category == ""
+        assert pois.categories[2] == ""
 
     def test_empty_feature_collection(self, tmp_path):
         p = tmp_path / "e.geojson"
@@ -231,13 +239,50 @@ class TestReadPoi:
         with pytest.raises(SchemaError):
             io.read_poi(p)
 
+    def test_the_earlier_of_two_faults_is_reported(self, tmp_path):
+        point = {"type": "Feature", "properties": {}, "geometry": {"type": "Point", "coordinates": ["1", 2.0]}}
+        line = {"type": "Feature", "properties": {}, "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 1]]}}
+        p = tmp_path / "two.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [point, line]}))
+        with pytest.raises(ValidationError) as e:
+            io.read_poi(p)
+        assert str(e.value) == f"{p}: feature #0: Point.x must be a finite real number, got '1'"
+        # a bad coordinate, then a vertex too short to be one, in one ring
+        ring = [[0, 0], [10, 0], [10, True], [5], [0, 10]]
+        unit = {"properties": {"id": "a", "level": "circle", "population": 1}, "type": "Feature"}
+        unit["geometry"] = {"type": "Polygon", "coordinates": [ring]}
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [unit]}))
+        with pytest.raises(ValidationError) as e:
+            io.read_admin_units(p)
+        assert str(e.value) == f"{p}: feature 'a': Point.y must be a finite real number, got True"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6).filter(lambda c: c == c.strip()),
+            ),
+            max_size=12,
+        )
+    )
+    def test_write_then_read_is_bit_identical(self, tmp_path_factory, points):
+        pois = PoiSet([x for x, _, _ in points], [y for _, y, _ in points], [c for _, _, c in points])
+        d = tmp_path_factory.mktemp("poi")
+        io.write_poi_csv(pois, d / "p.csv")
+        io.write_poi_geojson(pois, d / "p.geojson")
+        for back in (io.read_poi(d / "p.csv"), io.read_poi(d / "p.geojson")):
+            assert back.xs.tobytes() == pois.xs.tobytes() and back.ys.tobytes() == pois.ys.tobytes()
+            assert back.categories == pois.categories
+
     def test_csv_round_trip(self, tmp_path, data_dir):
         pois = io.read_poi(data_dir / "poi.csv")
         p = tmp_path / "rt.csv"
         io.write_poi_csv(pois, p)
         back = io.read_poi(p)
-        assert [q.location for q in back] == [q.location for q in pois]
-        assert [q.category for q in back] == [q.category for q in pois]
+        assert back.xs.tobytes() == pois.xs.tobytes() and back.ys.tobytes() == pois.ys.tobytes()
+        assert back.categories == pois.categories
 
 
 def integral(v) -> bool:
@@ -724,6 +769,15 @@ class TestGridFastPaths:
             io.write_ascii_grid(raster, p)
         assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
 
+    def test_write_of_a_signaling_nan_warns_nothing(self, tmp_path):
+        values = np.array([[1.0, 0.0]])
+        values.view(np.int64)[0, 1] = 0x7FF0000000000001  # np.floor of it sets "invalid"
+        raster = io.Raster(0.0, 0.0, 1.0, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.write_ascii_grid(raster, tmp_path / "g.asc")
+        assert (tmp_path / "g.asc").read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+
     @pytest.mark.parametrize("n_cols", [4096 + 37, 1000, 3])
     def test_write_of_real_blocks_matches_per_cell_reference(self, tmp_path, n_cols):
         rng = np.random.default_rng(n_cols)
@@ -821,6 +875,9 @@ class TestGoldenFuzz:
         variant(lambda d: d["features"][0]["properties"].pop("population"), SchemaError)
         variant(lambda d: d["features"][0]["properties"].update(population="lots"), SchemaError)
         variant(lambda d: d["features"][0]["properties"].update(population=-1), ValidationError)
+        variant(lambda d: d["features"][0]["properties"].update(population=True), SchemaError)
+        variant(lambda d: d["features"][0]["properties"].update(population="1e3"), SchemaError)
+        variant(lambda d: d["features"][0]["properties"].update(population=10**400), ValidationError)
         variant(lambda d: d["features"][0]["properties"].update(level="galaxy"), SchemaError)
         variant(lambda d: d["features"][1]["properties"].update(level="block"), LevelMismatchError)
         variant(lambda d: d["features"][0].update(geometry={"type": "Point", "coordinates": [0, 0]}), SchemaError)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import warnings
 from unittest import mock
 
@@ -9,24 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popgrid import poi_filter
-from popgrid.errors import ParameterError
+from popgrid.errors import ParameterError, ValidationError
 from popgrid.geo import Point, TileGrid
-from popgrid.poi_filter import (
-    PoiPoint,
-    PoiSet,
-    buffer_count,
-    compute_tile_mask,
-    dense_pois,
-)
+from popgrid.poi_filter import PoiSet, buffer_count, compute_tile_mask
 
 
 def make_set(coords) -> PoiSet:
-    return PoiSet(PoiPoint(location=Point(x, y)) for x, y in coords)
+    return PoiSet([x for x, _ in coords], [y for _, y in coords])
+
+
+def locations(pois: PoiSet) -> list[tuple[float, float]]:
+    return list(zip(pois.xs.tolist(), pois.ys.tolist()))
 
 
 def brute_counts(pois: PoiSet, radius: float) -> np.ndarray:
     """O(n^2) pairwise counting with the same closed-disc predicate."""
-    pts = [(p.location.x, p.location.y) for p in pois]
+    pts = locations(pois)
     n = len(pts)
     counts = np.zeros(n, dtype=np.int64)
     for i in range(n):
@@ -42,9 +41,9 @@ def brute_counts(pois: PoiSet, radius: float) -> np.ndarray:
 def brute_dense_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: int) -> np.ndarray:
     counts = brute_counts(pois, radius)
     retained = np.ones((grid.n_rows, grid.n_cols), dtype=bool)
-    for i, p in enumerate(pois):
+    for i, (x, y) in enumerate(locations(pois)):
         if counts[i] >= threshold:
-            idx = grid.tile_index_of(p.location)
+            idx = grid.tile_index_of(Point(x, y))
             if idx is not None:
                 retained[idx[1], idx[0]] = False
     return retained
@@ -66,6 +65,40 @@ def random_poi_set(rng: np.random.Generator, n: int, span: float = 5000.0) -> Po
     return make_set(coords)
 
 
+class TestPoiSet:
+    @pytest.mark.parametrize(
+        "bad",
+        ["1", True, None, math.nan, math.inf, -math.inf, 10**400, np.float64("nan")],
+        ids=["str", "bool", "none", "nan", "inf", "-inf", "overflow", "numpy-nan"],
+    )
+    def test_refuses_what_point_refuses(self, bad):
+        for xs, ys in (([0.0, bad], [0.0, 1.0]), ([0.0, 1.0], [1.0, bad]), ([bad, 0.0], [bad, 1.0])):
+            with pytest.raises(ValidationError) as want:
+                for x, y in zip(xs, ys):
+                    Point(x, y)
+            with pytest.raises(ValidationError) as got:
+                PoiSet(xs, ys)
+            assert str(got.value) == str(want.value)
+        if isinstance(bad, float):  # a float64 array takes the no-copy path
+            with pytest.raises(ValidationError, match=r"Point\.y must be a finite real number"):
+                PoiSet(np.zeros(3), np.array([0.0, bad, 0.0]))
+
+    def test_refuses_mismatched_lengths(self):
+        with pytest.raises(ValidationError, match="differ in length"):
+            PoiSet([0.0, 1.0], [0.0])
+        with pytest.raises(ValidationError, match="1 categories for 2 POIs"):
+            PoiSet([0.0, 1.0], [0.0, 1.0], ["shop"])
+
+    def test_arrays_are_read_only_copies(self):
+        xs = np.array([1.0, 2.0])
+        pois = PoiSet(xs, [3.0, 4.0], ["a", "b"])
+        xs[0] = 9.0
+        assert pois.xs.tolist() == [1.0, 2.0] and pois.categories == ("a", "b")
+        with pytest.raises(ValueError):
+            pois.ys[0] = 0.0
+        assert PoiSet([1, 2], [3, 4]).categories == ("", "")
+
+
 class TestBufferCount:
     def test_tight_cluster_counts_all(self):
         rng = np.random.default_rng(5)
@@ -77,8 +110,8 @@ class TestBufferCount:
         pois = make_set(coords)
         expected = brute_counts(pois, 500.0)
         assert expected.tolist() == [5] * 5
-        for p in pois:
-            assert buffer_count(pois, p.location, 500.0) == 5
+        for x, y in locations(pois):
+            assert buffer_count(pois, Point(x, y), 500.0) == 5
 
     def test_isolated_poi_counts_itself(self):
         pois = make_set([(10.0, 10.0)])
@@ -105,20 +138,20 @@ class TestDensePois:
         rng = np.random.default_rng(6)
         coords = [(100 + float(rng.uniform(0, 40)), 100 + float(rng.uniform(0, 40))) for _ in range(5)]
         pois = make_set(coords)
-        assert len(dense_pois(pois, 500.0, 5)) == 5
+        assert pois.dense(500.0, 5).tolist() == [True] * 5
 
     def test_threshold_one_returns_all(self):
         pois = make_set([(0, 0), (5000, 0), (0, 5000)])
-        assert dense_pois(pois, 500.0, 1) == pois.points
+        assert pois.dense(500.0, 1).tolist() == [True] * 3
 
     def test_threshold_above_size_returns_none(self):
         pois = make_set([(0, 0), (1, 1), (2, 2)])
-        assert dense_pois(pois, 500.0, 4) == ()
+        assert pois.dense(500.0, 4).tolist() == [False] * 3
 
     def test_bad_threshold(self):
         pois = make_set([(0, 0)])
         with pytest.raises(ParameterError):
-            dense_pois(pois, 500.0, 0)
+            pois.dense(500.0, 0)
 
     def test_index_matches_brute_force(self):
         for seed in (1, 2, 3):
@@ -126,22 +159,21 @@ class TestDensePois:
             pois = random_poi_set(rng, 600)
             counts = brute_counts(pois, 400.0)
             expect = {i for i in range(len(pois)) if counts[i] >= 4}
-            got_points = dense_pois(pois, 400.0, 4)
-            got = {i for i, p in enumerate(pois) if p in got_points}
+            got = set(np.flatnonzero(pois.dense(400.0, 4)).tolist())
             assert got == expect
 
     def test_index_query_equals_linear_scan(self):
         rng = np.random.default_rng(12)
         pois = random_poi_set(rng, 300, span=2000.0)
-        xs = np.array([p.location.x for p in pois])
-        ys = np.array([p.location.y for p in pois])
+        xs, ys = pois.xs, pois.ys
         for _ in range(50):
             qx, qy = rng.uniform(-200, 2200, 2)
             radius = float(rng.uniform(1, 900))
             dx = xs - qx
             dy = ys - qy
             linear = np.flatnonzero(dx * dx + dy * dy <= radius * radius)
-            assert pois.indices_within(qx, qy, radius).tolist() == linear.tolist()
+            assert np.flatnonzero(pois._within(qx, qy, radius)).tolist() == linear.tolist()
+            assert pois.count_within(qx, qy, radius) == linear.size
 
 
 class TestComputeTileMask:
@@ -242,7 +274,7 @@ class TestBufferCounts:
 
     def test_coordinates_offset_by_1e7(self):
         pois = random_poi_set(np.random.default_rng(41), 300, span=3000.0)
-        coords = [(p.location.x + 1e7, p.location.y - 1e7) for p in pois]
+        coords = [(x + 1e7, y - 1e7) for x, y in locations(pois)]
         assert_counts_exact(coords, 400.0)
 
     def test_duplicates_and_all_identical(self):
@@ -296,9 +328,9 @@ def test_dense_pois_and_mask_equal_brute_force(coords, offset, radius, threshold
     grid = TileGrid(origin_x=offset - 150.0, origin_y=offset - 150.0, n_cols=10, n_rows=10, tile_size=30.0)
     counts = brute_counts(pois, radius)
     with mock.patch.object(poi_filter, "_PAIR_BLOCK", block):
-        dense = dense_pois(pois, radius, threshold)
+        dense = pois.dense(radius, threshold)
         mask = compute_tile_mask(grid, pois, radius, threshold)
-    assert dense == tuple(p for p, c in zip(pois, counts) if c >= threshold)
+    assert dense.tolist() == (counts >= threshold).tolist()
     assert np.array_equal(mask.retained, brute_dense_mask(grid, pois, radius, threshold))
 
 
@@ -439,7 +471,7 @@ class TestParameterValidation:
     def test_bad_radius(self, radius):
         calls = [
             lambda: buffer_count(self.pois, Point(0, 0), radius),
-            lambda: dense_pois(self.pois, radius, 5),
+            lambda: self.pois.dense(radius, 5),
             lambda: compute_tile_mask(self.grid, self.pois, radius, 5),
             lambda: self.pois.buffer_counts(radius),
         ]
@@ -449,18 +481,18 @@ class TestParameterValidation:
 
     def test_radius_beyond_float_range(self):
         with pytest.raises(ParameterError, match="radius"):
-            dense_pois(self.pois, 10**310, 5)
+            self.pois.dense(10**310, 5)
         with pytest.raises(ParameterError, match="radius"):
             self.pois.buffer_counts(-(10**400))
 
     def test_missing_threshold(self):
         with pytest.raises(ParameterError, match="threshold"):
-            dense_pois(self.pois, 500.0, None)
+            self.pois.dense(500.0, None)
 
     @pytest.mark.parametrize("threshold", [True, 2.5, 5.0, "5", 0, -1])
     def test_bad_threshold(self, threshold):
         with pytest.raises(ParameterError, match="threshold"):
-            dense_pois(self.pois, 500.0, threshold)
+            self.pois.dense(500.0, threshold)
         with pytest.raises(ParameterError, match="threshold"):
             compute_tile_mask(self.grid, self.pois, 500.0, threshold)
 

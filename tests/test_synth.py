@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from popgrid import io, synth
+from popgrid.disaggregate import allocate_uniform, run_disaggregation
 from popgrid.errors import AlignmentError, GenerationError, ValidationError
-from popgrid.geo import BBox, points_in_any
+from popgrid.geo import BBox, Point, points_in_any
+from popgrid.poi_filter import compute_tile_mask
 
 
 NAN = float("nan")
@@ -107,9 +109,11 @@ class TestDeterminism:
         assert np.array_equal(a.mask.values, b.mask.values)
         assert np.array_equal(a.pixel_population.values, b.pixel_population.values)
         assert [u.population for u in a.units] == [u.population for u in b.units]
-        assert [(p.location, p.category) for p in a.pois] == [
-            (p.location, p.category) for p in b.pois
-        ]
+        assert (a.pois.xs.tolist(), a.pois.ys.tolist(), a.pois.categories) == (
+            b.pois.xs.tolist(),
+            b.pois.ys.tolist(),
+            b.pois.categories,
+        )
 
     def test_different_seeds_differ(self):
         a = synth.generate(small_spec(1))
@@ -170,8 +174,6 @@ class TestGroundTruthInvariants:
         assert truth.tile_population().total() == truth.total_population()
 
     def test_clusters_fire_default_rule(self):
-        from popgrid.poi_filter import compute_tile_mask
-
         truth = synth.generate(small_spec(6))
         mask = compute_tile_mask(truth.grid, truth.pois, 500.0, 5)
         assert set(mask.excluded_flat().tolist()) == set(truth.poi_tiles)
@@ -193,8 +195,8 @@ class TestZeroPopulation:
         assert [u.population for u in truth.units] == [0.0] * truth.spec.n_units
         assert not truth.pixel_population.values.any()
         holding = set()
-        for p in truth.pois:
-            idx = truth.grid.tile_index_of(p.location)
+        for x, y in zip(truth.pois.xs.tolist(), truth.pois.ys.tolist()):
+            idx = truth.grid.tile_index_of(Point(x, y))
             if idx is not None:
                 holding.add(idx[1] * truth.grid.n_cols + idx[0])
         assert truth.poi_tiles == holding
@@ -227,9 +229,10 @@ class TestScore:
     def test_pipeline_beats_uniform_baseline(self):
         for seed in (11, 12, 13):
             truth = synth.generate(small_spec(seed))
-            est, _ = synth.run_default_pipeline(truth)
+            tile_mask = compute_tile_mask(truth.grid, truth.pois, 500.0, 5)
+            est, _ = run_disaggregation(truth.mask, truth.grid, truth.units, tile_mask)
             proposed = synth.score(est, truth)
-            uniform = synth.score(synth.uniform_baseline(truth), truth)
+            uniform = synth.score(allocate_uniform(truth.grid, truth.units), truth)
             assert proposed.mae < uniform.mae
             assert proposed.total_error <= 1e-9 * max(truth.total_population(), 1.0)
 
