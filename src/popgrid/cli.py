@@ -57,10 +57,13 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     config_path = getattr(args, "config", None)
     if config_path:
+        text = io.read_text(config_path)
         try:
-            raw = json.loads(io.read_text(config_path))
+            raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigurationError(f"{config_path}: invalid JSON config ({e.msg})") from None
+        except ValueError as e:  # an integer literal past Python's int-to-str digit limit
+            raise ConfigurationError(f"{config_path}: invalid JSON config ({e})") from None
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{config_path}: a config file must hold a JSON object")
         known = {f.name for f in fields(PipelineConfig)}

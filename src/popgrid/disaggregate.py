@@ -54,6 +54,9 @@ __all__ = [
     "run_disaggregation",
 ]
 
+# overlapping unit pairs an OverlapWarning names, in input order
+_OVERLAPS_NAMED = 3
+
 
 @dataclass(frozen=True)
 class UnitTally:
@@ -147,7 +150,8 @@ def assign_pixels(
     """Route each valid built pixel to its tile and its first containing unit."""
     _check_inputs(mask, grid, tile_mask)
     built = (mask.values == 1) & ~mask.nodata
-    owner, overlap = first_owners(mask.grid, [u.geometry for u in units], where=built.reshape(-1))
+    owner, overlaps = first_owners(mask.grid, [u.geometry for u in units], where=built.reshape(-1))
+    overlap = sum(n for _, _, n in overlaps)
     rr, cc = np.nonzero(built)
     unit_of = owner.reshape(built.shape)[rr, cc]
     del owner
@@ -158,9 +162,13 @@ def assign_pixels(
     cols, rows, in_grid = grid.tile_indices_of(xs, ys)
     del xs, ys
     if overlap:
+        named = ", ".join(
+            f"{units[w].id!r} over {units[k].id!r} ({n} pixels)" for w, k, n in overlaps[:_OVERLAPS_NAMED]
+        )
+        more = len(overlaps) - _OVERLAPS_NAMED
         warnings.warn(
             f"{overlap} built pixels fall in more than one admin unit; "
-            "first unit in input order wins",
+            f"first unit in input order wins: {named}" + (f" and {more} more" if more > 0 else ""),
             OverlapWarning,
             stacklevel=2,
         )

@@ -12,9 +12,16 @@ the closed exterior minus the open interiors of its holes).
 A polygon holds each ring once, as read-only float64 ``(xs, ys)`` arrays
 checked with the ``as_real`` rule; ``Point`` views are built on demand.
 
-The bulk membership kernel evaluates the scalar kernel's own expressions,
-each edge on the y-sorted points of its y-band, so bulk classification of
-pixel/tile centers agrees bit-for-bit with the scalar functions.
+Two bulk membership kernels evaluate the scalar kernel's own expressions, so
+both agree bit-for-bit with the scalar functions:
+
+- the lattice kernel (``tile_centers_in_parts``, and so ``first_owners``),
+  which the pipeline uses for pixel and tile centers, works by scanline: each
+  edge's row crossings are expanded at once, a running parity along each row
+  counts the crossings right of each center, and on-edge is tested on the
+  cells of each edge's own bbox only;
+- the point-set kernel (``points_in_polygon``), for arbitrary points, sorts
+  them by y once and tests each edge on the points of its y-band.
 """
 
 from __future__ import annotations
@@ -386,6 +393,57 @@ class TileGrid:
         )
 
 
+# (edge, cell) pairs tested for on-edge at once: bounds the kernel's
+# temporaries for rings with many long diagonal edges
+_ON_EDGE_CHUNK = 1 << 16
+
+
+def _lattice_ring_hits(
+    rx: np.ndarray, ry: np.ndarray, xc: np.ndarray, yc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ring_hits` on every center of the lattice ``xc`` × ``yc`` (both
+    ascending): ``(inside, on_edge)`` as ``(len(yc), len(xc))`` bool arrays.
+
+    Each edge crosses rows ``[searchsorted(yc, min(y1, y2)), searchsorted(yc,
+    max(y1, y2)))``, the rows where ``(y1 > py) != (y2 > py)``; at each crossing
+    ``px < xi`` holds on the columns before ``searchsorted(xc, xi)``. On-edge is
+    tested on the cells of each edge's own bbox only."""
+    n_rows, n_cols = yc.size, xc.size
+    x2 = np.concatenate((rx[1:], rx[:1]))
+    y2 = np.concatenate((ry[1:], ry[:1]))
+    dx, dy = x2 - rx, y2 - ry
+    ylo, yhi = np.minimum(ry, y2), np.maximum(ry, y2)
+    r_lo = yc.searchsorted(ylo)
+    span = yc.searchsorted(yhi) - r_lo
+    e = np.arange(rx.size).repeat(span)
+    rows = np.arange(e.size) + (r_lo - span.cumsum() + span).repeat(span)
+    py = yc[rows]
+    xi = rx[e] + ((py - ry[e]) / dy[e]) * dx[e]
+    # a ring crosses every row an even number of times, so the parity of the
+    # crossings at or left of each column, run over the flat row-major
+    # toggles, restarts at 0 on every row and counts those with px < xi
+    toggles = np.zeros(n_rows * (n_cols + 1), dtype=np.uint8)
+    np.bitwise_xor.at(toggles, rows * (n_cols + 1) + xc.searchsorted(xi), 1)
+    inside = np.bitwise_xor.accumulate(toggles).view(bool).reshape(n_rows, n_cols + 1)[:, :n_cols]
+
+    on_edge = np.zeros((n_rows, n_cols), dtype=bool)
+    c_lo = xc.searchsorted(np.minimum(rx, x2))
+    width = xc.searchsorted(np.maximum(rx, x2), side="right") - c_lo
+    cells = width * (yc.searchsorted(yhi, side="right") - r_lo)
+    ends = cells.cumsum()
+    total = int(ends[-1])
+    for start in range(0, total, _ON_EDGE_CHUNK):
+        k = np.arange(start, min(start + _ON_EDGE_CHUNK, total))
+        e = ends.searchsorted(k, side="right")
+        row, col = np.divmod(k - ends[e] + cells[e], width[e])
+        row += r_lo[e]
+        col += c_lo[e]
+        cross = dx[e] * (yc[row] - ry[e]) - dy[e] * (xc[col] - rx[e])
+        zero = cross == 0.0
+        on_edge[row[zero], col[zero]] = True
+    return inside, on_edge
+
+
 def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon], where=None) -> np.ndarray:
     """Flat indices (sorted, row-major) of tiles whose centers fall in any part,
     among the tiles marked by ``where`` (flat bool array) if it is given."""
@@ -394,32 +452,46 @@ def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon], where=None) 
     c1 = min(grid.n_cols - 1, math.floor((box.max_x - grid.origin_x) / grid.tile_size) + 1)
     r0 = max(0, math.floor((box.min_y - grid.origin_y) / grid.tile_size) - 1)
     r1 = min(grid.n_rows - 1, math.floor((box.max_y - grid.origin_y) / grid.tile_size) + 1)
-    cols = np.arange(c0, c1 + 1, dtype=np.int64)
-    rows = np.arange(r0, r1 + 1, dtype=np.int64)
-    cc, rr = np.meshgrid(cols, rows)
-    cc = cc.ravel()
-    rr = rr.ravel()
-    flat = rr * grid.n_cols + cc
-    xs = grid.origin_x + (cc + 0.5) * grid.tile_size
-    ys = grid.origin_y + (rr + 0.5) * grid.tile_size
-    keep = (xs >= box.min_x) & (xs <= box.max_x) & (ys >= box.min_y) & (ys <= box.max_y)
+    xc = grid.origin_x + (np.arange(c0, c1 + 1, dtype=np.int64) + 0.5) * grid.tile_size
+    yc = grid.origin_y + (np.arange(r0, r1 + 1, dtype=np.int64) + 0.5) * grid.tile_size
+    # centers ascend with the index, so those in the bbox form one sub-window
+    a, b = xc.searchsorted(box.min_x), xc.searchsorted(box.max_x, side="right")
+    c0, xc = c0 + int(a), xc[a:b]
+    a, b = yc.searchsorted(box.min_y), yc.searchsorted(box.max_y, side="right")
+    r0, yc = r0 + int(a), yc[a:b]
+    if xc.size == 0 or yc.size == 0:
+        return np.empty(0, dtype=np.int64)
+    hit = np.zeros((yc.size, xc.size), dtype=bool)
+    for part in parts:
+        inside, on_edge = _lattice_ring_hits(*part.rings[0], xc, yc)
+        inside |= on_edge
+        for hx, hy in part.rings[1:]:
+            h_in, h_on = _lattice_ring_hits(hx, hy, xc, yc)
+            inside &= ~h_in | h_on
+        hit |= inside
     if where is not None:
-        keep &= where[flat]
-    hit = points_in_any(xs[keep], ys[keep], parts)
-    return flat[keep][hit]
+        hit &= np.asarray(where).reshape(grid.n_rows, grid.n_cols)[r0 : r0 + yc.size, c0 : c0 + xc.size]
+    flat = np.flatnonzero(hit)  # row-major in the window: rebase onto the grid
+    flat += (flat // xc.size) * (grid.n_cols - xc.size) + (r0 * grid.n_cols + c0)
+    return flat
 
 
 def first_owners(grid: TileGrid, geometries: Sequence[Sequence[Polygon]], where=None):
     """Flat int32 index of the first geometry, in input order, holding each tile
-    center (-1 for none), and the count of hits on centers already owned."""
+    center (-1 for none), and the overlaps: a ``(winner, loser, count)`` triple
+    for each pair where ``count`` centers of geometry ``loser`` were already
+    owned by the earlier ``winner``, in loser then winner order."""
     owner = np.full(grid.n_tiles, -1, dtype=np.int32)
-    overlap = 0
+    overlaps: list[tuple[int, int, int]] = []
     for k, parts in enumerate(geometries):
         hit = tile_centers_in_parts(grid, parts, where)
-        free = hit[owner[hit] == -1]
-        overlap += hit.size - free.size
-        owner[free] = k
-    return owner, overlap
+        prior = owner[hit]
+        taken = prior != -1
+        if taken.any():
+            winners, counts = np.unique(prior[taken], return_counts=True)
+            overlaps += ((w, k, n) for w, n in zip(winners.tolist(), counts.tolist()))
+        owner[hit[~taken]] = k
+    return owner, overlaps
 
 
 def representative_point(parts: Sequence[Polygon]) -> Point:

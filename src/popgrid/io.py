@@ -239,6 +239,8 @@ def _load_json(path: str | Path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: {e.msg}", line=e.lineno, column=e.colno) from None
+    except ValueError as e:  # an integer literal past Python's int-to-str digit limit
+        raise ParseError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
     return doc

@@ -108,6 +108,18 @@ class TestValidate:
         assert out["status"] == "errors"
         assert out["errors"][0].startswith(f"{error}: {bad}: feature 'u002': ")
 
+    def test_population_past_the_int_digit_limit_exits_two(self, tmp_path, scenario, capsys):
+        # json.loads refuses an integer literal of over 4300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        doc = json.loads(Path(scenario["admin"]).read_text())
+        doc["features"][2]["properties"]["population"] = "HUGE"
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000))
+        rc = main(["validate", "--admin", str(bad), "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert out["errors"][0].startswith(f"ParseError: {bad}: ")
+
     def test_disjoint_extents_exit_two(self, tmp_path, scenario):
         far = io.Raster(
             origin_x=1e6, origin_y=1e6, pixel_size=15.0, values=np.ones((4, 4))
@@ -240,6 +252,18 @@ class TestRun:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["parameters"]["poi_threshold"] == 1
+
+    def test_config_integer_past_the_digit_limit_exits_two(self, tmp_path, scenario, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"poi_radius": 1' + "0" * 5000 + "}")
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg_path), "--admin", scenario["admin"], "--poi", scenario["poi"],
+                "--mask", scenario["mask"], "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"ERROR: ConfigurationError: {cfg_path}: invalid JSON config (" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -168,7 +168,7 @@ class TestInputChecks:
             unit("first", (0, 0, 60, 30), 80.0),
             unit("second", (0, 0, 60, 30), 20.0),  # fully overlapping
         ]
-        with pytest.warns(OverlapWarning):
+        with pytest.warns(OverlapWarning, match=r"wins: 'first' over 'second' \(8 pixels\)$"):
             assignment = assign_pixels(mask, grid, units, all_retained(grid))
         assert assignment.overlap_pixels == 8
         assert assignment.tallies[0].total_built == 8
@@ -177,6 +177,23 @@ class TestInputChecks:
         # the loser unit falls back onto its tile centers, conserving its total
         assert pop.total() == pytest.approx(100.0, rel=1e-12)
         assert report.units[1].fallback_used is True
+
+    def test_overlap_warning_names_the_first_pairs_in_input_order(self):
+        grid = TileGrid(origin_x=0, origin_y=0, n_cols=2, n_rows=1, tile_size=30.0)
+        mask = binary(0, 0, 15.0, [[1, 1, 1, 1], [1, 1, 1, 1]])
+        units = [
+            unit("a", (0, 0, 30, 30), 1.0),  # the 4 western pixels
+            unit("b", (0, 0, 60, 30), 1.0),  # all 8: 4 lost to a
+            unit("c", (30, 0, 60, 30), 1.0),  # the 4 eastern: all lost to b
+            unit("d", (0, 0, 60, 30), 1.0),  # all 8: 4 lost to a, 4 to b
+        ]
+        with pytest.warns(OverlapWarning) as caught:
+            assignment = assign_pixels(mask, grid, units, all_retained(grid))
+        assert assignment.overlap_pixels == 16
+        assert str(caught[0].message) == (
+            "16 built pixels fall in more than one admin unit; first unit in input order wins: "
+            "'a' over 'b' (4 pixels), 'b' over 'c' (4 pixels), 'a' over 'd' (4 pixels) and 1 more"
+        )
 
 
 class TestProperties:

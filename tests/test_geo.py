@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from popgrid.errors import GeometryError, ValidationError
 from popgrid.geo import (
+    _ON_EDGE_CHUNK,
     BBox,
     Point,
     Polygon,
     TileGrid,
+    first_owners,
     parts_bbox,
+    point_in_any,
     point_in_polygon,
     points_in_polygon,
     rectangle,
@@ -26,15 +30,19 @@ from conftest import convex_contains, edge_distance, random_convex_polygon, slow
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
+lattice_offset = st.sampled_from([0.0, 1e7, -1e7, 9_999_992.5])
+
+
 @st.composite
-def lattice_polygons(draw):
-    """A polygon with vertices on a 15 m pixel-center lattice, offset by 0 or
-    about 1e7 m, with zero-length edges, collinear runs and up to two holes,
-    and the lattice points around it, with duplicates, in shuffled order."""
-    ox, oy = (draw(st.sampled_from([0.0, 1e7, -1e7, 9_999_992.5])) for _ in range(2))
+def lattice_polygons(draw, size=15.0, origin=None):
+    """A polygon with vertices on a ``size`` m pixel-center lattice whose
+    origin is ``origin`` or drawn (0 or about 1e7 m on each axis), with
+    zero-length edges, collinear runs and up to two holes, and the lattice
+    points around it, with duplicates, in shuffled order."""
+    ox, oy = origin if origin is not None else (draw(lattice_offset) for _ in range(2))
 
     def at(i, j):
-        return ox + (i + 0.5) * 15.0, oy + (j + 0.5) * 15.0
+        return ox + (i + 0.5) * size, oy + (j + 0.5) * size
 
     def ring(lo, hi):
         cells = draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(lo, hi)), min_size=3, max_size=10))
@@ -57,6 +65,34 @@ def lattice_polygons(draw):
     cells += draw(st.lists(st.sampled_from(cells), max_size=40))
     xs, ys = np.array([at(i, j) for i, j in draw(st.permutations(cells))]).T
     return poly, xs, ys
+
+
+@st.composite
+def lattice_units(draw, size, n_units):
+    """A grid of ``size`` m cells, placed so that it may clip the units, and
+    ``n_units`` units of one to three ``lattice_polygons`` parts whose
+    vertices lie on the grid's own cell centers."""
+    ox, oy = (draw(lattice_offset) for _ in range(2))
+    shift = draw(st.integers(0, 2))
+    grid = TileGrid(
+        origin_x=ox - shift * size,
+        origin_y=oy - shift * size,
+        n_cols=draw(st.integers(6, 13)),
+        n_rows=draw(st.integers(6, 13)),
+        tile_size=size,
+    )
+    units = [
+        [draw(lattice_polygons(size, (ox, oy)))[0] for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(n_units)
+    ]
+    return grid, units
+
+
+def random_where(draw, grid: TileGrid):
+    """A random flat bool ``where`` over the grid's tiles, or None."""
+    if not draw(st.booleans()):
+        return None
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(grid.n_tiles) < 0.5
 
 
 class TestPoint:
@@ -357,6 +393,73 @@ class TestTileCentersInParts:
     def test_disjoint(self):
         grid = TileGrid(origin_x=0, origin_y=0, n_cols=4, n_rows=4, tile_size=30.0)
         assert tile_centers_in_parts(grid, [rectangle(500, 500, 600, 600)]).size == 0
+
+    @pytest.mark.parametrize("size", [7.5, 15.0, 30.0])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_scalar_kernel_on_every_center(self, size, data):
+        grid, (parts,) = data.draw(lattice_units(size, 1))
+        where = random_where(data.draw, grid)
+        expect = [
+            r * grid.n_cols + c
+            for r in range(grid.n_rows)
+            for c in range(grid.n_cols)
+            if (where is None or where[r * grid.n_cols + c]) and point_in_any(grid.tile_center(c, r), parts)
+        ]
+        assert tile_centers_in_parts(grid, parts, where).tolist() == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_first_owners_equals_a_nested_loop(self, data):
+        size = data.draw(st.sampled_from([7.5, 15.0, 30.0]))
+        grid, units = data.draw(lattice_units(size, data.draw(st.integers(2, 4))))
+        where = random_where(data.draw, grid)
+        owner = np.full(grid.n_tiles, -1)
+        pairs: dict[tuple[int, int], int] = {}
+        for r in range(grid.n_rows):
+            for c in range(grid.n_cols):
+                if where is not None and not where[r * grid.n_cols + c]:
+                    continue
+                holders = [k for k, parts in enumerate(units) if point_in_any(grid.tile_center(c, r), parts)]
+                if holders:
+                    owner[r * grid.n_cols + c] = holders[0]
+                for k in holders[1:]:
+                    pairs[holders[0], k] = pairs.get((holders[0], k), 0) + 1
+        got, overlaps = first_owners(grid, units, where)
+        assert got.tolist() == owner.tolist()
+        assert overlaps == sorted(((w, k, n) for (w, k), n in pairs.items()), key=lambda t: (t[1], t[0]))
+
+    def test_a_crossing_that_rounds_onto_a_center_off_the_edge(self):
+        # the west edge crosses row y = 0.5 at xi == 1.5 exactly, yet the
+        # center (1.5, 0.5) is not on it (cross != 0): px < xi is false there,
+        # so that edge must not toggle the center's column
+        poly = Polygon(
+            exterior=[(1.5000000000000009, -1.5), (1.5, 0.7857142857142857), (5.0, 0.7857142857142857), (5.0, -1.5)]
+        )
+        grid = TileGrid(origin_x=0.0, origin_y=-2.0, n_cols=7, n_rows=4, tile_size=1.0)
+        expect = [r * 7 + c for r in range(4) for c in range(7) if point_in_polygon(grid.tile_center(c, r), poly)]
+        assert 2 * 7 + 1 in expect
+        assert tile_centers_in_parts(grid, [poly]).tolist() == expect
+
+    def test_on_edge_temporaries_are_chunked(self):
+        # a star of 360 long diagonal edges: their bboxes hold about 11M cells
+        # of the 1022 x 1022 window, which must not be materialised at once
+        k = np.arange(360)
+        radius = np.where(k % 2 == 0, 511.0, 200.0)
+        xs = 512.0 + radius * np.cos(k * (2 * np.pi / 360))
+        ys = 512.0 + radius * np.sin(k * (2 * np.pi / 360))
+        star = Polygon(exterior=list(zip(xs.tolist(), ys.tolist())))
+        grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=1024, n_rows=1024, tile_size=1.0)
+        window = 1022 * 1022  # the centers in the star's bbox, [1, 1023] on each axis
+        tracemalloc.start()
+        try:
+            hit = tile_centers_in_parts(grid, [star])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * window + 64 * _ON_EDGE_CHUNK
+        cx, cy = np.meshgrid(np.arange(1024) + 0.5, np.arange(1024) + 0.5)
+        assert hit.tolist() == np.flatnonzero(points_in_polygon(cx, cy, star)).tolist()
 
 
 class TestRepresentativePoint:
