@@ -131,23 +131,40 @@ def finite_coords(xs: Sequence, ys: Sequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ring(ring: Sequence, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """A ring of Points or [x, y] pairs as open (xs, ys) arrays (no repeated last vertex)."""
-    xs, ys = finite_coords(
-        [v.x if isinstance(v, Point) else v[0] for v in ring],
-        [v.y if isinstance(v, Point) else v[1] for v in ring],
-    )
+    """A ring of Points or [x, y] pairs, or an (n, 2) float64 array, as open
+    (xs, ys) arrays (no repeated last vertex)."""
+    if isinstance(ring, np.ndarray) and ring.dtype == np.float64 and ring.ndim == 2:
+        xs, ys = finite_coords(ring[:, 0], ring[:, 1])
+    else:
+        xs, ys = finite_coords(
+            [v.x if isinstance(v, Point) else v[0] for v in ring],
+            [v.y if isinstance(v, Point) else v[1] for v in ring],
+        )
     if len(xs) >= 2 and xs[0] == xs[-1] and ys[0] == ys[-1]:
         xs, ys = xs[:-1], ys[:-1]
-    distinct = len(set(zip(xs.tolist(), ys.tolist())))
+    distinct = _distinct_up_to_3(xs, ys)
     if distinct < 3:
         raise GeometryError(f"{what} needs at least 3 distinct vertices, got {distinct}")
     return xs, ys
 
 
+def _distinct_up_to_3(xs: np.ndarray, ys: np.ndarray) -> int:
+    """The number of distinct vertices (x, y), or 3 when there are more; a
+    ring's first three vertices are most often distinct, so the scan stops
+    there."""
+    seen = set()
+    for vertex in zip(xs, ys):  # numpy floats hash and compare as floats do
+        seen.add(vertex)
+        if len(seen) == 3:
+            break
+    return len(seen)
+
+
 def _ring_signed_area(xs: np.ndarray, ys: np.ndarray) -> float:
-    # shoelace over the open ring, closing edge implied
-    x2 = np.roll(xs, -1)
-    y2 = np.roll(ys, -1)
+    # shoelace over the open ring, closing edge implied; concatenate gives
+    # np.roll(a, -1)'s array at a fraction of its cost
+    x2 = np.concatenate((xs[1:], xs[:1]))
+    y2 = np.concatenate((ys[1:], ys[:1]))
     return 0.5 * float(np.sum(xs * y2 - x2 * ys))
 
 
@@ -158,11 +175,12 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> tuple[Point, ...]:
 class Polygon:
     """A simple polygon with optional holes.
 
-    Rings may be given as Points or [x, y] pairs, closed (first vertex
-    repeated at the end) or open. ``rings`` holds them once, open, as
-    read-only float64 ``(xs, ys)`` arrays, exterior first; ``exterior`` and
-    ``holes`` build Point views on demand. Exterior non-self-intersection is
-    assumed of the input and only checked cheaply (vertex count, nonzero area).
+    Rings may be given as Points or [x, y] pairs, or as (n, 2) float64
+    arrays, closed (first vertex repeated at the end) or open. ``rings``
+    holds them once, open, as read-only float64 ``(xs, ys)`` arrays, exterior
+    first; ``exterior`` and ``holes`` build Point views on demand. Exterior
+    non-self-intersection is assumed of the input and only checked cheaply
+    (vertex count, nonzero area).
     """
 
     def __init__(self, exterior: Sequence, holes: Sequence[Sequence] = ()):

@@ -13,9 +13,11 @@ member ``"coordinate_units": "meters"``; readers reject collections whose
 ``crs``/``coordinate_units`` member declares a geographic (degree) system.
 With ``require_projected`` (every CLI command sets it), ``read_admin_units``
 also rejects degree-like coordinates in a collection declaring no meter units.
-Readers check each coordinate with the ``geo.as_real`` rule as they meet it
-and hand rings and POIs on as float arrays (``Polygon.rings``, ``PoiSet(xs,
-ys, categories)``); writers format those arrays from ``tolist()``.
+GeoJSON readers check each ring's positions, and the POI file's position
+column, in bulk with numpy under the ``geo.as_real`` rule; only a refused
+input goes through the per-position check, which names the first fault.
+Rings and POIs go on as float arrays (``Polygon.rings``, ``PoiSet(xs, ys,
+categories)``); writers format those arrays from ``tolist()``.
 
 ESRI ASCII grids are read a line at a time, never holding a string per cell:
 numpy parses a body laid out one grid row per line, and the streamed reader
@@ -34,7 +36,8 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,6 +46,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     FormatError,
+    GeometryError,
     HeaderOrderWarning,
     LevelMismatchError,
     ParseError,
@@ -292,6 +296,43 @@ def _finite_pair(x: object, y: object, where: str) -> tuple[float, float]:
         raise ValidationError(f"{where}: {e}") from None
 
 
+def _position_array(values: list) -> np.ndarray | None:
+    """The JSON positions ``values`` as an (n, 2) float64 array, checked in
+    bulk; None when any is refused.
+
+    A position is accepted when it is a list of at least two values whose
+    first two are an ``int`` or a ``float`` (not a ``bool``) that is finite
+    as a float64; a third or later value is ignored. numpy converts an int
+    to the float ``float()`` gives, and one past the float range raises
+    ``OverflowError``. For JSON values this refuses exactly what
+    ``_coord_pair`` refuses.
+    """
+    if not values:
+        return np.empty((0, 2))
+    if set(map(type, values)) != {list}:
+        return None
+    try:
+        columns = (list(map(itemgetter(0), values)), list(map(itemgetter(1), values)))
+    except IndexError:  # a position of fewer than two values
+        return None
+    if not set(map(type, columns[0])) | set(map(type, columns[1])) <= {int, float}:
+        return None
+    try:
+        array = np.array(columns, dtype=np.float64).T
+    except OverflowError:
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _positions(values: list, where: str) -> np.ndarray:
+    """The JSON positions ``values`` as an (n, 2) float64 array; the first
+    refused one raises ``_coord_pair``'s error, after ``where``."""
+    array = _position_array(values)
+    if array is None:  # name the first fault
+        array = np.array([_coord_pair(v, where) for v in values], dtype=np.float64)
+    return array
+
+
 def _polygon_from_rings(rings: object, where: str) -> Polygon:
     if not isinstance(rings, list) or not rings:
         raise SchemaError(f"{where}: Polygon coordinates must be a non-empty ring array")
@@ -299,8 +340,11 @@ def _polygon_from_rings(rings: object, where: str) -> Polygon:
     for ring in rings:
         if not isinstance(ring, list):
             raise SchemaError(f"{where}: ring must be an array of positions")
-        parsed.append([_coord_pair(v, where) for v in ring])
-    return Polygon(exterior=parsed[0], holes=tuple(parsed[1:]))
+        parsed.append(_positions(ring, where))
+    try:
+        return Polygon(exterior=parsed[0], holes=tuple(parsed[1:]))
+    except GeometryError as e:
+        raise GeometryError(f"{where}: {e}") from None
 
 
 def _geometry_parts(geom: object, where: str) -> tuple[Polygon, ...]:
@@ -345,6 +389,8 @@ def read_admin_units(
             raise SchemaError(f"{path}: feature #{i} is not an object")
         props = feat.get("properties")
         raw_id = _required_property(props, "id", f"{path}: feature #{i}")
+        if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
+            raise SchemaError(f"{path}: feature #{i}: id {raw_id!r} is not a string or an integer")
         fid = str(raw_id)
         where = f"{path}: feature {fid!r}"
         level = AdminLevel.parse(_required_property(props, "level", where))
@@ -422,9 +468,39 @@ def read_poi(path: str | Path) -> PoiSet:
 def _read_poi_geojson(path: Path) -> PoiSet:
     doc = _load_json(path)
     _reject_geographic(doc, path)
-    name = str(path)  # formatted once, not once a feature
+    feats = _features(doc, path)
+    pois = _poi_columns(feats)
+    return pois if pois is not None else _poi_features(feats, str(path))
+
+
+def _poi_columns(feats: list) -> PoiSet | None:
+    """The POIs of ``feats`` with each rule of ``_poi_features`` checked on a
+    column of all features at once; None when any feature is refused."""
+    if not set(map(type, feats)) <= {dict}:
+        return None
+    geoms = list(map(dict.get, feats, repeat("geometry")))
+    if not set(map(type, geoms)) <= {dict}:
+        return None
+    # counted, not put in a set: a type may be a list, which does not hash
+    if list(map(dict.get, geoms, repeat("type"))).count("Point") != len(geoms):
+        return None
+    positions = _position_array(list(map(dict.get, geoms, repeat("coordinates"))))
+    if positions is None:
+        return None
+    props = list(map(dict.get, feats, repeat("properties")))
+    if not set(map(type, props)) <= {dict, type(None)}:
+        return None
+    categories = [None if p is None else p.get("category") for p in props]
+    if not set(map(type, categories)) <= {str, type(None)}:
+        return None
+    return PoiSet(positions[:, 0], positions[:, 1], [c or "" for c in categories])
+
+
+def _poi_features(feats: list, name: str) -> PoiSet:
+    """The POIs of ``feats``, checked a feature at a time: the definition of
+    an accepted feature and of the error naming the first refused one."""
     xs, ys, categories = [], [], []
-    for i, feat in enumerate(_features(doc, path)):
+    for i, feat in enumerate(feats):
         if not isinstance(feat, dict):
             raise SchemaError(f"{name}: feature #{i} is not an object")
         geom = feat.get("geometry")
@@ -432,10 +508,17 @@ def _read_poi_geojson(path: Path) -> PoiSet:
             got = geom.get("type") if isinstance(geom, dict) else None
             raise SchemaError(f"{name}: feature #{i}: POI geometry must be Point, got {got!r}")
         x, y = _coord_pair(geom.get("coordinates"), f"{name}: feature #{i}")
-        props = feat.get("properties") or {}
+        props = feat.get("properties")
+        if props is None:
+            props = {}
+        elif not isinstance(props, dict):
+            raise SchemaError(f"{name}: feature #{i}: properties must be an object or null, got {props!r}")
+        category = props.get("category")
+        if category is not None and not isinstance(category, str):
+            raise SchemaError(f"{name}: feature #{i}: category must be a string or null, got {category!r}")
         xs.append(x)
         ys.append(y)
-        categories.append(str(props.get("category", "") or ""))
+        categories.append(category or "")
     return PoiSet(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), categories)
 
 

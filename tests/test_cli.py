@@ -108,6 +108,21 @@ class TestValidate:
         assert out["status"] == "errors"
         assert out["errors"][0].startswith(f"{error}: {bad}: feature 'u002': ")
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_poi_properties_not_an_object_exits_two(self, tmp_path, scenario, capsys, command):
+        doc = json.loads(Path(scenario["poi"]).read_text())
+        doc["features"][1]["properties"] = ["x"]
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps(doc))
+        if command == "validate":
+            rc = main(["validate", "--poi", str(bad)])
+        else:
+            rc = run_pipeline({**scenario, "poi": str(bad)}, tmp_path / "out")
+            assert not (tmp_path / "out").exists()
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"SchemaError: {bad}: feature #1: properties must be an object or null" in captured.out + captured.err
+
     def test_population_past_the_int_digit_limit_exits_two(self, tmp_path, scenario, capsys):
         # json.loads refuses an integer literal of over 4300 digits with a
         # plain ValueError, not a JSONDecodeError

@@ -26,7 +26,7 @@ from popgrid.errors import (
     TruncationError,
     ValidationError,
 )
-from popgrid.geo import TileGrid, rectangle
+from popgrid.geo import Polygon, TileGrid, rectangle
 from popgrid.poi_filter import PoiSet, TileMask
 
 
@@ -45,6 +45,37 @@ class TestReadAdminUnits:
         p.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="c2"):
             io.read_admin_units(p)
+
+    @pytest.mark.parametrize("raw_id, fid", [("c7", "c7"), (7, "7"), (-(10**30), str(-(10**30)))])
+    def test_id_is_a_string_or_an_integer(self, tmp_path, data_dir, raw_id, fid):
+        doc = json.loads((data_dir / "admin.geojson").read_text())
+        doc["features"][0]["properties"]["id"] = raw_id
+        p = tmp_path / "a.geojson"
+        p.write_text(json.dumps(doc))
+        assert io.read_admin_units(p)[0].id == fid
+
+    @pytest.mark.parametrize(
+        "rings, message",
+        [
+            ([[]], "exterior ring needs at least 3 distinct vertices, got 0"),
+            ([[[0, 0], [1, 1], [0, 0], [1, 1]]], "exterior ring needs at least 3 distinct vertices, got 2"),
+            ([[[0, 0], [-0.0, 0.0], [0, -0.0], [1, 1]]], "exterior ring needs at least 3 distinct vertices, got 2"),
+            ([[[0, 0], [1, 1], [2, 2], [0, 0]]], "exterior ring has zero area"),
+            (
+                [[[0, 0], [9, 0], [9, 9], [0, 9]], [[1, 1], [1, 1]]],
+                "hole ring 0 needs at least 3 distinct vertices, got 1",
+            ),
+            ([[[0, 0], [9, 0], [9, 9], [0, 9]], [[1, 1], [2, 2], [3, 3]]], "hole ring 0 has zero area"),
+        ],
+    )
+    def test_ring_error_names_the_feature(self, tmp_path, data_dir, rings, message):
+        doc = json.loads((data_dir / "admin.geojson").read_text())
+        doc["features"][1]["geometry"]["coordinates"] = rings
+        p = tmp_path / "a.geojson"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(GeometryError) as e:
+            io.read_admin_units(p)
+        assert str(e.value) == f"{p}: feature 'c2': {message}"
 
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.geojson"
@@ -283,6 +314,160 @@ class TestReadPoi:
         back = io.read_poi(p)
         assert back.xs.tobytes() == pois.xs.tobytes() and back.ys.tobytes() == pois.ys.tobytes()
         assert back.categories == pois.categories
+
+
+# JSON numbers a position may hold, each kind the float64 conversion meets:
+# ints past 2**53 and past the float range, -0.0, subnormals
+_json_numbers = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.integers(1, 1100).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+# JSON values a coordinate must not be
+_json_refused = st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "1", "x", [], [1, 2], {"a": 1}])
+_coordinates = st.integers(0, 49).flatmap(lambda k: _json_refused if k == 0 else _json_numbers)
+
+
+@st.composite
+def json_positions(draw):
+    """A GeoJSON position, most often [x, y]; now and then 1 or 3 values
+    long, or not an array at all."""
+    kind = draw(st.integers(0, 49))
+    if kind == 0:
+        return draw(_coordinates)
+    size = {1: 1, 2: 3}.get(kind, 2)
+    return draw(st.lists(_coordinates, min_size=size, max_size=size))
+
+
+def outcome(call):
+    """What ``call()`` gives: its value, or the type and text of its error or
+    first RuntimeWarning (a shoelace area overflows on coordinates past
+    about 1e154, in the reader and the reference alike)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except (PopgridError, RuntimeWarning) as e:
+            return type(e), str(e)
+
+
+def ring_bytes(polygons) -> list[bytes]:
+    return [a.tobytes() for poly in polygons for ring in poly.rings for a in ring]
+
+
+class TestBulkIngest:
+    """Both GeoJSON readers check a position column in bulk; they accept what
+    ``_coord_pair`` accepts, giving the same bits, and refuse with its error
+    for the first refused position."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rings=st.lists(st.lists(json_positions(), max_size=6), min_size=1, max_size=2))
+    def test_admin_rings_match_the_per_position_reference(self, tmp_path_factory, rings):
+        unit = {"type": "Feature", "properties": {"id": "u", "level": "circle", "population": 1}}
+        unit["geometry"] = {"type": "Polygon", "coordinates": rings}
+        p = tmp_path_factory.mktemp("admin") / "a.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [unit]}))
+        where = f"{p}: feature 'u'"
+
+        def build():
+            pairs = [[io._coord_pair(v, where) for v in ring] for ring in json.loads(json.dumps(rings))]
+            try:
+                return [Polygon(pairs[0], pairs[1:])]
+            except GeometryError as e:
+                raise GeometryError(f"{where}: {e}") from None
+
+        got = outcome(lambda: io.read_admin_units(p))
+        expected = outcome(build)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert not isinstance(got, tuple), got
+            assert ring_bytes(got[0].geometry) == ring_bytes(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(positions=st.lists(json_positions(), max_size=6))
+    def test_poi_columns_match_the_per_position_reference(self, tmp_path_factory, positions):
+        features = [
+            {"type": "Feature", "properties": {"category": "c"}, "geometry": {"type": "Point", "coordinates": v}}
+            for v in positions
+        ]
+        p = tmp_path_factory.mktemp("poi") / "p.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+
+        def build():
+            pairs = [io._coord_pair(v, f"{p}: feature #{i}") for i, v in enumerate(json.loads(json.dumps(positions)))]
+            return np.array(pairs, dtype=np.float64).reshape(-1, 2)
+
+        got = outcome(lambda: io.read_poi(p))
+        expected = outcome(build)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert not isinstance(got, tuple), got
+            assert got.xs.tobytes() == expected[:, 0].tobytes() and got.ys.tobytes() == expected[:, 1].tobytes()
+            assert got.categories == ("c",) * len(positions)
+
+    @pytest.mark.parametrize(
+        "first, second, error, message",
+        [
+            ("coordinate", "geometry", ValidationError, "Point.x must be a finite real number, got '1'"),
+            ("geometry", "coordinate", SchemaError, "POI geometry must be Point, got 'LineString'"),
+            ("properties", "coordinate", SchemaError, "properties must be an object or null, got []"),
+            ("category", "geometry", SchemaError, "category must be a string or null, got 5"),
+        ],
+    )
+    def test_the_earlier_of_two_poi_faults_is_reported(self, tmp_path, first, second, error, message):
+        faults = {
+            "coordinate": lambda f: f["geometry"].update(coordinates=["1", 2.0]),
+            "geometry": lambda f: f["geometry"].update(type="LineString"),
+            "properties": lambda f: f.update(properties=[]),
+            "category": lambda f: f["properties"].update(category=5),
+        }
+        features = [
+            {"type": "Feature", "properties": {"category": "c"}, "geometry": {"type": "Point", "coordinates": [i, i]}}
+            for i in range(10)
+        ]
+        faults[first](features[3])
+        faults[second](features[7])
+        p = tmp_path / "two.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        with pytest.raises(error) as e:
+            io.read_poi(p)
+        assert str(e.value) == f"{p}: feature #3: {message}"
+
+    def test_the_earlier_of_two_ring_faults_is_reported(self, tmp_path):
+        exterior = [[0, 0], [90, 0], [True, 90], [0, 90]]
+        hole = [[10, 10], ["x", 10], [20, 20]]
+        unit = {"type": "Feature", "properties": {"id": "a", "level": "circle", "population": 1}}
+        unit["geometry"] = {"type": "Polygon", "coordinates": [exterior, hole]}
+        p = tmp_path / "two.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [unit]}))
+        with pytest.raises(ValidationError) as e:
+            io.read_admin_units(p)
+        assert str(e.value) == f"{p}: feature 'a': Point.x must be a finite real number, got True"
+        exterior[2] = [90, 90]
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [unit]}))
+        with pytest.raises(ValidationError) as e:
+            io.read_admin_units(p)
+        assert str(e.value) == f"{p}: feature 'a': Point.x must be a finite real number, got 'x'"
+
+    def test_the_bulk_check_alone_accepts_the_golden_files(self, data_dir, monkeypatch):
+        def refuse(value, where):
+            raise AssertionError(f"{where}: {value!r} went through the per-position check")
+
+        monkeypatch.setattr(io, "_coord_pair", refuse)
+        readers = {"admin.geojson": io.read_admin_units, "poi.geojson": io.read_poi}
+        paths = sorted(data_dir.glob("*.geojson"))
+        assert [path.name for path in paths] == sorted(readers)
+        for path in paths:
+            assert len(readers[path.name](path)) > 0
+
+    @pytest.mark.parametrize("properties", [None, {}, {"category": None}, {"category": ""}])
+    def test_poi_without_a_category_reads_as_empty(self, tmp_path, properties):
+        feature = {"type": "Feature", "properties": properties, "geometry": {"type": "Point", "coordinates": [1, 2]}}
+        p = tmp_path / "p.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+        assert io.read_poi(p).categories == ("",)
 
 
 def integral(v) -> bool:
@@ -865,10 +1050,10 @@ class TestGoldenFuzz:
         base = json.loads((data_dir / "admin.geojson").read_text())
         cases = []
 
-        def variant(mutate, expected):
+        def variant(mutate, expected, match=None):
             doc = json.loads(json.dumps(base))
             mutate(doc)
-            cases.append((json.dumps(doc), expected))
+            cases.append((json.dumps(doc), expected, match))
 
         variant(lambda d: d["features"][0]["properties"].pop("id"), SchemaError)
         variant(lambda d: d["features"][0]["properties"].pop("level"), SchemaError)
@@ -893,10 +1078,16 @@ class TestGoldenFuzz:
             )
         variant(lambda d: d.update(type="FeatureList"), SchemaError)
         variant(lambda d: d.update(features={}), SchemaError)
-        for text, expected in cases:
+        for bad in (["a"], True, False, {"k": "v"}, 1.5):
+            variant(
+                lambda d, bad=bad: d["features"][0]["properties"].update(id=bad),
+                SchemaError,
+                "feature #0: id .* is not a string or an integer",
+            )
+        for text, expected, match in cases:
             p = tmp_path / "fuzz.geojson"
             p.write_text(text)
-            with pytest.raises(expected):
+            with pytest.raises(expected, match=match):
                 io.read_admin_units(p)
         # truncation makes it unparseable
         p = tmp_path / "fuzz.geojson"
@@ -951,6 +1142,18 @@ class TestGoldenFuzz:
             doc["features"][0]["geometry"]["coordinates"] = bad
             p.write_text(json.dumps(doc))
             with pytest.raises(ValidationError):
+                io.read_poi(p)
+        for bad in (["x"], [], "x", 0, True):
+            doc = json.loads(json.dumps(base))
+            doc["features"][1]["properties"] = bad
+            p.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError, match="feature #1: properties must be an object or null"):
+                io.read_poi(p)
+        for bad in (["a"], {"k": 1}, 5, True):
+            doc = json.loads(json.dumps(base))
+            doc["features"][1]["properties"]["category"] = bad
+            p.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError, match="feature #1: category must be a string or null"):
                 io.read_poi(p)
 
     def test_every_error_is_a_popgrid_error(self):
