@@ -42,7 +42,7 @@ class PipelineConfig:
     poi: str | None = None
     mask: str | None = None
     out: str | None = None
-    level: str = "circle"
+    level: str = io.AdminLevel.CIRCLE.value
     tile_size: float = DEFAULT_TILE_SIZE
     poi_radius: float = DEFAULT_POI_RADIUS
     poi_threshold: int = DEFAULT_POI_THRESHOLD
@@ -152,7 +152,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         warnings.simplefilter("always")
         if args.admin:
             try:
-                units = io.read_admin_units(args.admin, expected_level=args.level, require_projected=True)
+                units = io.read_admin_units(args.admin, expected_level=args.level)
                 admin_box = parts_bbox([p for u in units for p in u.geometry])
                 checked["admin"] = {
                     "units": len(units),
@@ -179,10 +179,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 errors.append(f"{type(e).__name__}: {e}")
         if admin_box is not None and mask_raster is not None:
             if not admin_box.intersects(mask_raster.grid.extent()):
-                errors.append("admin polygons and built-up mask have disjoint extents")
+                errors.append("ConfigurationError: admin polygons and built-up mask have disjoint extents")
     warns.extend(str(w.message) for w in caught)
     if not (args.admin or args.poi or args.mask):
-        errors.append("nothing to validate: pass --admin, --poi and/or --mask")
+        errors.append("ConfigurationError: nothing to validate: pass --admin, --poi and/or --mask")
     code = 2 if errors else (1 if warns else 0)
     status = {0: "ok", 1: "warnings", 2: "errors"}[code]
     if args.json:
@@ -202,7 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if getattr(cfg, name) is None:
             raise ConfigurationError(f"run needs --{name} (or a config file entry)")
     t0 = time.perf_counter()
-    units = io.read_admin_units(cfg.admin, expected_level=cfg.level, require_projected=True)
+    units = io.read_admin_units(cfg.admin, expected_level=cfg.level)
     if not units:
         raise ValidationError(f"no polygons in {cfg.admin}: run needs at least one admin unit")
     pois = io.read_poi(cfg.poi)
@@ -250,7 +250,7 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
     pois = io.read_poi(cfg.poi)
     units = None
     if cfg.admin is not None:
-        units = io.read_admin_units(cfg.admin, expected_level=cfg.level, require_projected=True)
+        units = io.read_admin_units(cfg.admin, expected_level=cfg.level)
     grid = _derive_grid(cfg, units)
     tile_mask = compute_tile_mask(grid, pois, cfg.poi_radius, cfg.poi_threshold)
     io.write_ascii_grid(io.raster_from_tile_mask(tile_mask), cfg.out)
@@ -300,7 +300,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_zonal(args: argparse.Namespace) -> int:
     pop = io.population_grid_from_raster(io.read_ascii_grid(args.grid))
-    units = io.read_admin_units(args.admin, expected_level=args.level, require_projected=True)
+    units = io.read_admin_units(args.admin, expected_level=args.level)
     built = io.read_ascii_grid(args.built) if args.built else None
     rows = evaluate.zonal_stats(pop, units, built=built)
     io.write_zonal_csv(rows, args.out)
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admin")
     p.add_argument("--poi")
     p.add_argument("--mask")
-    p.add_argument("--level", default="circle")
+    p.add_argument("--level", default=io.AdminLevel.CIRCLE.value)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="population grid (ESRI ASCII)")
     p.add_argument("--admin", required=True)
     p.add_argument("--built", help="optional tile-resolution 0/1 raster for built tile counts")
-    p.add_argument("--level", default="circle")
+    p.add_argument("--level", default=io.AdminLevel.CIRCLE.value)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_zonal)

@@ -32,7 +32,7 @@ class SchemaError(PopgridError):
 
 
 class LevelMismatchError(SchemaError):
-    """Admin features in one dataset carry different or unexpected levels."""
+    """An admin feature carries a level other than the expected one."""
 
 
 class ValidationError(PopgridError):

@@ -180,16 +180,19 @@ class Polygon:
     holds them once, open, as read-only float64 ``(xs, ys)`` arrays, exterior
     first; ``exterior`` and ``holes`` build Point views on demand. Exterior
     non-self-intersection is assumed of the input and only checked cheaply
-    (vertex count, nonzero area).
+    (vertex count, finite nonzero area).
     """
 
     def __init__(self, exterior: Sequence, holes: Sequence[Sequence] = ()):
         rings = (_ring(exterior, "exterior ring"),)
         rings += tuple(_ring(h, f"hole ring {i}") for i, h in enumerate(holes))
-        for i, (xs, ys) in enumerate(rings):
-            if abs(_ring_signed_area(xs, ys)) <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # an area that overflows is refused below
+            areas = [abs(_ring_signed_area(xs, ys)) for xs, ys in rings]
+        for i, area in enumerate(areas):
+            if not 0.0 < area < math.inf:
                 ring = "exterior ring" if i == 0 else f"hole ring {i - 1}"
-                raise GeometryError(f"{ring} has zero area")
+                problem = "zero area" if area == 0.0 else "an area that is not finite: its coordinates are too large"
+                raise GeometryError(f"{ring} has {problem}")
         self.rings: tuple[tuple[np.ndarray, np.ndarray], ...] = rings
 
     def __eq__(self, other: object) -> bool:

@@ -10,9 +10,9 @@ Coordinates are projected meters throughout. Files written by this module
 use shortest-exact float formatting, so a write/read cycle reproduces every
 value bit-for-bit. GeoJSON feature collections we emit carry a foreign
 member ``"coordinate_units": "meters"``; readers reject collections whose
-``crs``/``coordinate_units`` member declares a geographic (degree) system.
-With ``require_projected`` (every CLI command sets it), ``read_admin_units``
-also rejects degree-like coordinates in a collection declaring no meter units.
+``crs``/``coordinate_units`` member declares a geographic (degree) system,
+and ``read_admin_units`` also rejects degree-like coordinates in a collection
+declaring no meter units.
 GeoJSON readers check each ring's positions, and the POI file's position
 column, in bulk with numpy under the ``geo.as_real`` rule; only a refused
 input goes through the per-position check, which names the first fault.
@@ -367,23 +367,21 @@ def _required_property(props: object, key: str, where: str) -> object:
     return props[key]
 
 
-def read_admin_units(
-    path: str | Path, expected_level: AdminLevel | str | None = None, *, require_projected: bool = False
-) -> list[AdminUnit]:
+def read_admin_units(path: str | Path, expected_level: AdminLevel | str = AdminLevel.CIRCLE) -> list[AdminUnit]:
     """Read admin polygons from a GeoJSON FeatureCollection.
 
     Every feature needs properties ``id``, ``level`` and ``population`` and a
-    Polygon/MultiPolygon geometry. When ``expected_level`` is given, all
-    features must carry it; otherwise they must all share one level. With
-    ``require_projected``, degree-like coordinates are a ``ConfigurationError``.
+    Polygon/MultiPolygon geometry, and its level must be ``expected_level``.
+    Declared degrees are a ``ValidationError``; coordinates that fit inside
+    lon/lat ranges, in a collection declaring no meter units, are a
+    ``ConfigurationError``.
     """
     doc = _load_json(path)
     _reject_geographic(doc, path)
-    if expected_level is not None and not isinstance(expected_level, AdminLevel):
+    if not isinstance(expected_level, AdminLevel):
         expected_level = AdminLevel.parse(expected_level)
     units: list[AdminUnit] = []
     seen_ids: set[str] = set()
-    level_seen: AdminLevel | None = expected_level
     for i, feat in enumerate(_features(doc, path)):
         if not isinstance(feat, dict):
             raise SchemaError(f"{path}: feature #{i} is not an object")
@@ -394,11 +392,9 @@ def read_admin_units(
         fid = str(raw_id)
         where = f"{path}: feature {fid!r}"
         level = AdminLevel.parse(_required_property(props, "level", where))
-        if level_seen is None:
-            level_seen = level
-        elif level != level_seen:
+        if level != expected_level:
             raise LevelMismatchError(
-                f"{where}: level {level.value!r} does not match expected {level_seen.value!r}"
+                f"{where}: level {level.value!r} does not match expected {expected_level.value!r}"
             )
         population = _required_property(props, "population", where)
         if isinstance(population, bool) or not isinstance(population, (int, float)):
@@ -411,8 +407,7 @@ def read_admin_units(
             units.append(AdminUnit(id=fid, level=level, geometry=geometry, population=population))
         except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from None
-    if require_projected:
-        _reject_geographic(doc, path, units)
+    _reject_geographic(doc, path, units)
     return units
 
 

@@ -90,7 +90,7 @@ class TestValidate:
         out = json.loads(capsys.readouterr().out)
         assert rc == 2
         assert out["status"] == "errors"
-        assert any("u002" in e for e in out["errors"])
+        assert out["errors"] == [f"SchemaError: {bad}: feature 'u002': missing required property 'population'"]
 
     @pytest.mark.parametrize(
         "population, error",
@@ -135,7 +135,7 @@ class TestValidate:
         assert rc == 2
         assert out["errors"][0].startswith(f"ParseError: {bad}: ")
 
-    def test_disjoint_extents_exit_two(self, tmp_path, scenario):
+    def test_disjoint_extents_exit_two(self, tmp_path, scenario, capsys):
         far = io.Raster(
             origin_x=1e6, origin_y=1e6, pixel_size=15.0, values=np.ones((4, 4))
         )
@@ -143,8 +143,10 @@ class TestValidate:
         io.write_ascii_grid(far, far_path)
         rc = main(["validate", "--admin", scenario["admin"], "--mask", str(far_path)])
         assert rc == 2
+        message = "ERROR: ConfigurationError: admin polygons and built-up mask have disjoint extents"
+        assert message in capsys.readouterr().out
 
-    def test_degree_like_admin_without_flag_is_rejected(self, tmp_path):
+    def test_degree_like_admin_without_flag_is_rejected(self, tmp_path, capsys):
         doc = {
             "type": "FeatureCollection",
             "features": [
@@ -164,6 +166,8 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         rc = main(["validate", "--admin", str(bad)])
         assert rc == 2
+        message = f"ERROR: ConfigurationError: {bad}: coordinates fit inside longitude/latitude ranges"
+        assert message in capsys.readouterr().out
         # declaring meters makes the same coordinates acceptable
         doc["coordinate_units"] = "meters"
         bad.write_text(json.dumps(doc))
@@ -177,8 +181,9 @@ class TestValidate:
         rc = main(["validate", "--mask", str(swapped)])
         assert rc == 1
 
-    def test_nothing_to_validate(self):
+    def test_nothing_to_validate(self, capsys):
         assert main(["validate"]) == 2
+        assert "ERROR: ConfigurationError: nothing to validate" in capsys.readouterr().out
 
     @pytest.mark.parametrize("vertex", [[10**400, 0.0], ["1", "2"], [True, 0.0]], ids=["overflow", "str", "bool"])
     def test_bad_coordinate_exits_two(self, tmp_path, vertex, capsys):
@@ -229,7 +234,7 @@ class TestRun:
         assert (retained_all <= retained_default).all()
         assert retained_all.sum() < retained_default.sum()
 
-    def test_missing_input_exits_two(self, tmp_path, scenario):
+    def test_missing_input_exits_two(self, tmp_path, scenario, capsys):
         rc = main(
             [
                 "run",
@@ -244,6 +249,7 @@ class TestRun:
             ]
         )
         assert rc == 2
+        assert "ERROR: FileNotFoundError: " in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, scenario, capsys):
         cfg = {
@@ -280,10 +286,11 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"admin": "x", "typo_key": 1}))
         assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"ERROR: ConfigurationError: {cfg_path}: unknown config keys ['typo_key']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sizes",
@@ -541,6 +548,33 @@ class TestProjectedAdmin:
         assert "ERROR: ValidationError: no polygons" in captured.out + captured.err
 
 
+class TestOverflowingAdminRing:
+    """A 1e200 m square's shoelace area overflows float64: a GeometryError
+    naming the feature, with no numpy warning and no output."""
+
+    @pytest.mark.parametrize("command", ["validate", "zonal"])
+    def test_exits_two_with_a_geometry_error(self, tmp_path, scenario, capsys, command):
+        ring = [[0.0, 0.0], [1e200, 0.0], [1e200, 1e200], [0.0, 1e200], [0.0, 0.0]]
+        feature = {
+            "type": "Feature",
+            "properties": {"id": "big", "level": "circle", "population": 10},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        }
+        admin = tmp_path / "big.geojson"
+        admin.write_text(json.dumps({"type": "FeatureCollection", "coordinate_units": "meters", "features": [feature]}))
+        csv_path = tmp_path / "z.csv"
+        argv = {
+            "validate": ["validate", "--admin", str(admin)],
+            "zonal": ["zonal", "--grid", scenario["mask"], "--admin", str(admin), "--out", str(csv_path)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        message = captured.out + captured.err
+        assert f"ERROR: GeometryError: {admin}: feature 'big': exterior ring has an area that is not finite" in message
+        assert "WARNING" not in message
+        assert not csv_path.exists()
+
+
 def write_nan_origin_grid(path: Path, source: str) -> None:
     text = Path(source).read_text()
     path.write_text(text.replace("XLLCORNER 0.0\n", "XLLCORNER nan\n", 1))
@@ -754,9 +788,10 @@ class TestFilterPoi:
         assert set(np.unique(grid.values)) <= {0.0, 1.0}
         assert (grid.values == 0).sum() > 0
 
-    def test_needs_grid_source(self, scenario, tmp_path):
+    def test_needs_grid_source(self, scenario, tmp_path, capsys):
         rc = main(["filter-poi", "--poi", scenario["poi"], "--out", str(tmp_path / "m.asc")])
         assert rc == 2
+        assert "ERROR: ConfigurationError: filter-poi needs --admin or all of" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -767,12 +802,13 @@ class TestEvaluate:
         assert payload["accuracy"] == 1.0
         assert payload["f1"] == 1.0
 
-    def test_misaligned_exits_two(self, tmp_path, scenario):
+    def test_misaligned_exits_two(self, tmp_path, scenario, capsys):
         other = io.Raster(origin_x=7.0, origin_y=0.0, pixel_size=15.0, values=np.ones((4, 4)))
         p = tmp_path / "other.asc"
         io.write_ascii_grid(other, p)
         rc = main(["evaluate", "--predicted", scenario["mask"], "--reference", str(p)])
         assert rc == 2
+        assert "ERROR: AlignmentError: rasters do not share geometry" in capsys.readouterr().err
 
     def test_hand_fixture(self, tmp_path, capsys):
         ref = io.Raster(
@@ -952,10 +988,11 @@ class TestSynthCommand:
     @pytest.mark.parametrize("extent", ["1e300", "1e6"])
     def test_oversized_extent_exits_two(self, tmp_path, capsys, extent):
         assert main(["synth", "--seed", "1", "--out", str(tmp_path / "x"), "--extent", extent]) == 2
-        assert "pixel limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ERROR: GenerationError: " in err and "pixel limit" in err
         assert not (tmp_path / "x").exists()
 
-    def test_infeasible_spec_exits_two(self, tmp_path):
+    def test_infeasible_spec_exits_two(self, tmp_path, capsys):
         rc = main(
             [
                 "synth",
@@ -972,3 +1009,4 @@ class TestSynthCommand:
             ]
         )
         assert rc == 2
+        assert "ERROR: GenerationError: zero built fraction cannot host a nonzero population" in capsys.readouterr().err

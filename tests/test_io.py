@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from popgrid import io
@@ -28,6 +28,11 @@ from popgrid.errors import (
 )
 from popgrid.geo import Polygon, TileGrid, rectangle
 from popgrid.poi_filter import PoiSet, TileMask
+
+# rings whose shoelace area overflows float64: a 1e200 m square, and a sliver
+# whose one large coordinate meets a nonzero x
+_OVERFLOWING_SQUARE = [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200], [0, 0]]
+_OVERFLOWING_SLIVER = [[0, 0], [0, 0], [0, 1.7976931348623157e308], [2, 0]]
 
 
 class TestReadAdminUnits:
@@ -66,6 +71,9 @@ class TestReadAdminUnits:
                 "hole ring 0 needs at least 3 distinct vertices, got 1",
             ),
             ([[[0, 0], [9, 0], [9, 9], [0, 9]], [[1, 1], [2, 2], [3, 3]]], "hole ring 0 has zero area"),
+            # a RuntimeWarning would be raised (pyproject's filterwarnings) in place of the GeometryError
+            ([_OVERFLOWING_SQUARE], "exterior ring has an area that is not finite: its coordinates are too large"),
+            ([_OVERFLOWING_SLIVER], "exterior ring has an area that is not finite: its coordinates are too large"),
         ],
     )
     def test_ring_error_names_the_feature(self, tmp_path, data_dir, rings, message):
@@ -123,10 +131,20 @@ class TestReadAdminUnits:
         doc["coordinate_units"] = "EPSG:4326"
         p = tmp_path / "a.geojson"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="degrees"):
+        with pytest.raises(ValidationError, match="declared as geographic degrees"):
             io.read_admin_units(p)
 
-    def test_require_projected_rejects_degree_like_coordinates(self, tmp_path, data_dir):
+    def test_require_projected_keeps_declared_degrees_a_validation_error(self, tmp_path, data_dir):
+        # declared degrees are a ValidationError, not the ConfigurationError
+        # that undeclared degree-like coordinates get
+        doc = json.loads((data_dir / "admin.geojson").read_text())
+        doc["coordinate_units"] = "WGS84 degrees"
+        p = tmp_path / "a.geojson"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="declared as geographic degrees"):
+            io.read_admin_units(p)
+
+    def test_degree_like_coordinates_rejected(self, tmp_path, data_dir):
         ring = [[74.0, 31.0], [74.5, 31.0], [74.5, 31.5], [74.0, 31.5], [74.0, 31.0]]
         feature = {
             "type": "Feature",
@@ -136,9 +154,8 @@ class TestReadAdminUnits:
         doc = {"type": "FeatureCollection", "features": [feature]}
         p = tmp_path / "degrees.geojson"
         p.write_text(json.dumps(doc))
-        assert len(io.read_admin_units(p)) == 1  # library default: no degree-like check
         with pytest.raises(ConfigurationError) as err:
-            io.read_admin_units(p, require_projected=True)
+            io.read_admin_units(p)
         assert str(err.value) == (
             f"{p}: coordinates fit inside longitude/latitude ranges and the file "
             "does not declare coordinate_units 'meters'; reproject to a planar meter CRS "
@@ -146,23 +163,15 @@ class TestReadAdminUnits:
         )
         for members in ({"coordinate_units": "meters"}, {"crs": {"type": "name", "properties": {"name": "UTM 43N"}}}):
             p.write_text(json.dumps({**doc, **members}))
-            assert len(io.read_admin_units(p, require_projected=True)) == 1
+            assert len(io.read_admin_units(p)) == 1
         # a collection with no units has no coordinates to judge
         p.write_text(json.dumps({**doc, "features": []}))
-        assert io.read_admin_units(p, require_projected=True) == []
-        assert len(io.read_admin_units(data_dir / "admin.geojson", require_projected=True)) > 0
-
-    def test_require_projected_keeps_declared_degrees_a_validation_error(self, tmp_path, data_dir):
-        doc = json.loads((data_dir / "admin.geojson").read_text())
-        doc["coordinate_units"] = "WGS84 degrees"
-        p = tmp_path / "a.geojson"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="declared as geographic degrees"):
-            io.read_admin_units(p, require_projected=True)
+        assert io.read_admin_units(p) == []
 
     def test_multipolygon(self, tmp_path):
         doc = {
             "type": "FeatureCollection",
+            "coordinate_units": "meters",  # the parts fit inside lon/lat ranges
             "features": [
                 {
                     "type": "Feature",
@@ -340,15 +349,11 @@ def json_positions(draw):
 
 
 def outcome(call):
-    """What ``call()`` gives: its value, or the type and text of its error or
-    first RuntimeWarning (a shoelace area overflows on coordinates past
-    about 1e154, in the reader and the reference alike)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            return call()
-        except (PopgridError, RuntimeWarning) as e:
-            return type(e), str(e)
+    """What ``call()`` gives: its value, or the type and text of its error."""
+    try:
+        return call()
+    except PopgridError as e:
+        return type(e), str(e)
 
 
 def ring_bytes(polygons) -> list[bytes]:
@@ -362,11 +367,15 @@ class TestBulkIngest:
 
     @settings(max_examples=150, deadline=None)
     @given(rings=st.lists(st.lists(json_positions(), max_size=6), min_size=1, max_size=2))
+    @example(rings=[_OVERFLOWING_SQUARE])
+    @example(rings=[_OVERFLOWING_SLIVER])
     def test_admin_rings_match_the_per_position_reference(self, tmp_path_factory, rings):
         unit = {"type": "Feature", "properties": {"id": "u", "level": "circle", "population": 1}}
         unit["geometry"] = {"type": "Polygon", "coordinates": rings}
         p = tmp_path_factory.mktemp("admin") / "a.geojson"
-        p.write_text(json.dumps({"type": "FeatureCollection", "features": [unit]}))
+        # meters declared: a small random ring would otherwise fit lon/lat ranges
+        doc = {"type": "FeatureCollection", "coordinate_units": "meters", "features": [unit]}
+        p.write_text(json.dumps(doc))
         where = f"{p}: feature 'u'"
 
         def build():
