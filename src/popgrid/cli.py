@@ -215,8 +215,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     pop_path = out_dir / "population.asc"
     mask_path = out_dir / "tile_mask.asc"
     report_path = out_dir / "report.json"
-    io.write_ascii_grid(pop_grid, pop_path)
-    io.write_ascii_grid(io.raster_from_tile_mask(tile_mask), mask_path)
     payload = report.to_dict()
     payload["parameters"] = {
         "tile_size": grid.tile_size,
@@ -231,7 +229,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "tiles_excluded": tile_mask.n_excluded,
     }
     payload["outputs"] = {"population": pop_path.name, "tile_mask": mask_path.name}
-    io.write_json(payload, report_path)
+    with io.staged(pop_path, mask_path, report_path) as (pop_temp, mask_temp, report_temp):
+        io.write_ascii_grid(pop_grid, pop_temp)
+        io.write_ascii_grid(io.raster_from_tile_mask(tile_mask), mask_temp)
+        io.write_json(payload, report_temp)
     elapsed = time.perf_counter() - t0
     print(f"run: finished in {elapsed:.2f}s", file=sys.stderr)
     _emit(
@@ -253,7 +254,8 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
         units = io.read_admin_units(cfg.admin, expected_level=cfg.level)
     grid = _derive_grid(cfg, units)
     tile_mask = compute_tile_mask(grid, pois, cfg.poi_radius, cfg.poi_threshold)
-    io.write_ascii_grid(io.raster_from_tile_mask(tile_mask), cfg.out)
+    with io.staged(cfg.out) as (temp,):
+        io.write_ascii_grid(io.raster_from_tile_mask(tile_mask), temp)
     _emit(
         args,
         {
@@ -293,7 +295,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     m = evaluate.metrics(counts)
     payload = m.to_dict(counts)
     if args.out:
-        io.write_json(payload, args.out)
+        with io.staged(args.out) as (temp,):
+            io.write_json(payload, temp)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -303,7 +306,8 @@ def cmd_zonal(args: argparse.Namespace) -> int:
     units = io.read_admin_units(args.admin, expected_level=args.level)
     built = io.read_ascii_grid(args.built) if args.built else None
     rows = evaluate.zonal_stats(pop, units, built=built)
-    io.write_zonal_csv(rows, args.out)
+    with io.staged(args.out) as (temp,):
+        io.write_zonal_csv(rows, temp)
     payload = {
         "rows": len(rows),
         "grand_total": pop.total(),
@@ -321,7 +325,8 @@ def cmd_zonal(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     raster = io.read_ascii_grid(args.grid)
-    render.render_pgm(raster, args.out, scale=args.scale, fmt=args.format)
+    with io.staged(args.out) as (temp,):
+        render.render_pgm(raster, temp, scale=args.scale, fmt=args.format)
     _emit(
         args,
         {"out": str(args.out), "scale": args.scale, "format": args.format},

@@ -20,26 +20,33 @@ Rings and POIs go on as float arrays (``Polygon.rings``, ``PoiSet(xs, ys,
 categories)``); writers format those arrays from ``tolist()``.
 
 ESRI ASCII grids are read a line at a time, never holding a string per cell:
-numpy parses a body laid out one grid row per line, and the streamed reader
-every other body, with the same values and the same error messages. They are
-written in blocks of rows under one formatting rule per grid, each distinct
-value of a block formatted once. Every text input may start with a UTF-8
-byte-order mark.
+a 0/1 body laid out as popgrid writes it is checked as bytes, numpy parses
+any other body laid out one grid row per line, and the streamed reader every
+other body, with the same values and the same error messages. They are
+written in blocks of rows: a 0/1 grid without nodata as bytes, any other
+under one formatting rule per grid, each distinct value of a block formatted
+once. Every text input may start with a UTF-8 byte-order mark.
+
+Output files are written to temporary names beside their targets and moved
+into place together by ``staged``, so a failed command leaves none of them.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +69,9 @@ _GEOGRAPHIC_TOKENS = ("4326", "wgs84", "crs84", "degree", "longlat", "geographic
 _METER_TOKENS = ("meter", "metre", "projected", "utm", "local")
 _RULE_BLOCK = 2**14  # grid cells tested at once for the integer formatting rule
 _WRITE_BLOCK = 2**12  # grid cells formatted at once
+_BIT_BLOCK = 2**16  # cells of a 0/1 grid read or written at once as bytes
+_ZERO_SPACE = int.from_bytes(b"0 ", "little")  # a cell and its separator as a "<u2"
+_ZERO_NEWLINE = int.from_bytes(b"0\n", "little")
 
 
 class AdminLevel(str, Enum):
@@ -580,6 +590,12 @@ def read_ascii_grid(path: str | Path) -> Raster:
     lines anywhere. They are parsed in file order, so the first non-numeric
     one is named; surplus values are counted, not parsed, and a header asking
     for more values than the body has characters is refused before parsing.
+
+    The body takes the first of three paths that accepts it, each giving the
+    values the next would: a 0/1 body written as popgrid writes it (one row
+    per line, single spaces) is checked as bytes; numpy parses any body of
+    one row per line; the streamed reader parses every other body and
+    defines what is accepted and each error.
     """
     lines = read_text(path).splitlines()
     header: dict[str, float] = {}
@@ -624,7 +640,9 @@ def read_ascii_grid(path: str | Path) -> Raster:
     if expected > sum(map(len, islice(lines, body, None))):
         found = sum(len(line.split()) for line in islice(lines, body, None))
         raise TruncationError(f"{path}: expected {expected} values, found {found}")
-    values = _parse_rows(lines, body, n_rows, n_cols)
+    values = _parse_bits(lines, body, n_rows, n_cols)
+    if values is None:
+        values = _parse_rows(lines, body, n_rows, n_cols)
     if values is None:
         values = _stream_values(lines, body, n_rows, n_cols, path)
     nodata_value = header["nodata_value"]
@@ -634,6 +652,29 @@ def read_ascii_grid(path: str | Path) -> Raster:
         return Raster(header["xllcorner"], header["yllcorner"], cellsize, values, nodata, nodata_value)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
+
+
+def _parse_bits(lines: list[str], body: int, n_rows: int, n_cols: int) -> np.ndarray | None:
+    """The south-up values of a 0/1 body laid out as popgrid writes it:
+    ``n_rows`` lines of ``n_cols`` digits ``0`` or ``1`` between single
+    spaces; None for any other body. The lines are checked ``_BIT_BLOCK``
+    cells at a time as ASCII, each cell and the space after it one "<u2"."""
+    rows = lines[body:]
+    if len(rows) != n_rows or set(map(len, rows)) != {2 * n_cols - 1}:
+        return None
+    values = np.empty((n_rows, n_cols))
+    step = max(1, _BIT_BLOCK // n_cols)
+    for i in range(0, n_rows, step):
+        block = rows[i : i + step]
+        try:
+            text = (" ".join(block) + " ").encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        cells = np.frombuffer(text, "<u2") ^ _ZERO_SPACE  # "0 " is 0, "1 " is 1, any other pair more
+        if (cells > 1).any():
+            return None
+        values[n_rows - i - len(block) : n_rows - i] = cells.reshape(len(block), n_cols)[::-1]
+    return values
 
 
 def _parse_rows(lines: list[str], body: int, n_rows: int, n_cols: int) -> np.ndarray | None:
@@ -674,19 +715,29 @@ def _stream_values(lines: list[str], body: int, n_rows: int, n_cols: int, path: 
     return values
 
 
+def _blocks(values: np.ndarray, cells: int) -> Iterator[np.ndarray]:
+    """``values`` in blocks of whole rows, about ``cells`` cells each."""
+    step = max(1, cells // max(1, values.shape[-1]))
+    return (values[i : i + step] for i in range(0, len(values), step))
+
+
 def _row_formatter(values: np.ndarray):
     """The row formatter for a grid of ``values``: ``str`` of the int64 cast
     when every value is an integer below 2**53 in magnitude, else
     shortest-exact ``repr``. The rule is tested ``_RULE_BLOCK`` cells at a
     time, so no whole-grid temporary exists."""
-    step = max(1, _RULE_BLOCK // max(1, values.shape[-1]))
-    for i in range(0, len(values), step):
-        block = values[i : i + step]
+    for block in _blocks(values, _RULE_BLOCK):
         with np.errstate(invalid="ignore"):  # np.floor of a signaling NaN warns
             integral = (block == np.floor(block)) & (np.abs(block) < 2**53)  # false for inf and nan
         if not integral.all():
             return lambda row: map(repr, row.tolist())
     return lambda row: map(str, row.astype(np.int64).tolist())
+
+
+def _is_bits(values: np.ndarray) -> bool:
+    """Every value is 0 or 1 (``-0.0`` included), tested ``_RULE_BLOCK``
+    cells at a time."""
+    return all(((block == 0) | (block == 1)).all() for block in _blocks(values, _RULE_BLOCK))
 
 
 def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
@@ -695,15 +746,16 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
     Integer-valued grids are written as integers; reals use shortest exact
     float formatting so a read of the written file reproduces each value
     bit-for-bit. The rule is chosen once for the whole grid, and once for
-    the nodata value on its own. Rows go out ``_WRITE_BLOCK`` cells at a
-    time, each distinct value of a block formatted once.
+    the nodata value on its own. A grid of 0s and 1s with no nodata cell is
+    filled as bytes ``_BIT_BLOCK`` cells at a time; any other goes out
+    ``_WRITE_BLOCK`` cells at a time, each distinct value of a block
+    formatted once. Both give the same text, and neither holds the file's.
     """
     raster = obj.as_raster() if isinstance(obj, PopulationGrid) else obj
     values = np.asarray(raster.values, dtype=np.float64)
     na = np.array([raster.nodata_value], dtype=np.float64)
     (na_token,) = _row_formatter(na)(na)
-    format_row = _row_formatter(values)
-    step = max(1, _WRITE_BLOCK // raster.n_cols)
+    bits = not raster.nodata.any() and _is_bits(values)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"NCOLS {raster.n_cols}\n"
@@ -714,8 +766,22 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
             f"NODATA_VALUE {na_token}\n"
         )
         values, nodata = values[::-1], raster.nodata[::-1]  # top row first
-        for i in range(0, raster.n_rows, step):
-            fh.write(_format_block(values[i : i + step], nodata[i : i + step], format_row, na_token))
+        if bits:
+            for block in _blocks(values, _BIT_BLOCK):
+                fh.write(_bits_block(block))
+        else:
+            format_row = _row_formatter(values)
+            for block, block_na in zip(_blocks(values, _WRITE_BLOCK), _blocks(nodata, _WRITE_BLOCK)):
+                fh.write(_format_block(block, block_na, format_row, na_token))
+
+
+def _bits_block(block: np.ndarray) -> str:
+    """The text of a block of 0/1 rows, filled as bytes: each cell a digit
+    and a space, the last of a row a digit and a newline."""
+    cells = block.astype("<u2")  # 0.0, -0.0 and 1.0 cast to 0 and 1
+    cells[:, :-1] |= _ZERO_SPACE
+    cells[:, -1] |= _ZERO_NEWLINE
+    return cells.tobytes().decode("ascii")
 
 
 def _format_block(block: np.ndarray, block_na: np.ndarray, format_row, na_token: str) -> str:
@@ -749,6 +815,33 @@ def population_grid_from_raster(raster: Raster) -> PopulationGrid:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def staged(*paths: str | Path) -> Iterator[list[Path]]:
+    """Temporary paths beside ``paths``, one each, for the caller to write.
+
+    A target that is a directory, or whose directory does not exist, is
+    refused first, with the error its own write would raise. When the block
+    ends without an error each temporary file replaces its target with
+    ``os.replace``, in the order given, so the last target is the last to
+    appear; on any error the temporary files are removed. So a command
+    leaves all of its outputs or none of them.
+    """
+    targets = [Path(p) for p in paths]
+    for target in targets:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        if not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
+    temps = [t.parent / f".{t.name}.{os.getpid()}.tmp" for t in targets]  # not with_name, which refuses "."
+    try:
+        yield temps
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def write_json(payload: dict, path: str | Path) -> None:

@@ -4,6 +4,7 @@ import argparse
 import builtins
 import json
 import math
+import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -481,6 +482,45 @@ class TestRun:
         monkeypatch.setattr(Path, "read_text", counting_read_text)
         assert run_pipeline(scenario, tmp_path / "o") == 0
         assert reads.count(Path(scenario["admin"])) == 1
+
+
+class TestOutputsFailClosed:
+    """A command leaves all of its output files or none of its new ones."""
+
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_run_leaves_no_new_output_when_report_json_is_a_directory(self, tmp_path, scenario, capsys, earlier_run):
+        out = tmp_path / "o1"
+        out.mkdir()
+        if earlier_run:
+            assert run_pipeline(scenario, out) == 0
+            (out / "report.json").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "report.json").mkdir()
+        capsys.readouterr()
+        assert run_pipeline(scenario, out, "--tile-size", "60") == 2
+        err = capsys.readouterr().err
+        assert f"ERROR: IsADirectoryError: [Errno 21] Is a directory: '{out / 'report.json'}'" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(os.listdir(out)) == sorted([*before, "report.json"])
+        # the refused run would have written other grids than the earlier one
+        assert run_pipeline(scenario, tmp_path / "o2", "--tile-size", "60") == 0
+        if earlier_run:
+            assert (tmp_path / "o2" / "tile_mask.asc").read_bytes() != before["tile_mask.asc"]
+
+    @pytest.mark.parametrize("command", ["filter-poi", "zonal", "render", "evaluate"])
+    def test_single_output_commands_refuse_a_directory_target(self, tmp_path, scenario, capsys, command):
+        target = tmp_path / "out" / "target"
+        target.mkdir(parents=True)
+        argv = {
+            "filter-poi": ["filter-poi", "--admin", scenario["admin"], "--poi", scenario["poi"]],
+            "zonal": ["zonal", "--grid", scenario["truth"], "--admin", scenario["admin"]],
+            "render": ["render", "--grid", scenario["truth"]],
+            "evaluate": ["evaluate", "--predicted", scenario["mask"], "--reference", scenario["mask"]],
+        }[command]
+        assert main([*argv, "--out", str(target)]) == 2
+        assert f"ERROR: IsADirectoryError: [Errno 21] Is a directory: '{target}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == ["target"]
+        assert os.listdir(target) == []
 
 
 def write_degree_like_admin(path: Path, **members) -> None:

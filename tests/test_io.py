@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from popgrid import io
+from popgrid import io, synth
 from popgrid.errors import (
     ConfigurationError,
     FormatError,
@@ -26,7 +27,7 @@ from popgrid.errors import (
     TruncationError,
     ValidationError,
 )
-from popgrid.geo import Polygon, TileGrid, rectangle
+from popgrid.geo import BBox, Polygon, TileGrid, rectangle
 from popgrid.poi_filter import PoiSet, TileMask
 
 # rings whose shoelace area overflows float64: a 1e200 m square, and a sliver
@@ -910,6 +911,79 @@ def read_outcome(path: Path):
     return r.grid, r.nodata_value, r.values.view(np.int64).tobytes(), r.nodata.tobytes()
 
 
+def streamed_outcome(path: Path):
+    """``read_outcome`` with both fast paths off: the streamed reader's."""
+    off = lambda *args: None  # noqa: E731
+    with mock.patch.object(io, "_parse_bits", off), mock.patch.object(io, "_parse_rows", off):
+        return read_outcome(path)
+
+
+# One change each to a 0/1 body as popgrid writes it. Those in
+# _CANONICAL_BIT_CHANGES leave the body's lines canonical; every other one
+# must send the body past the byte path.
+_CANONICAL_BIT_CHANGES = [None, "crlf", "bom", "nodata 0", "nodata 1"]
+_BIT_CHANGES = _CANONICAL_BIT_CHANGES + [
+    "trailing space",
+    "doubled space",
+    "tab",
+    "\xa0",
+    "2",
+    "1.0",
+    "-0",
+    "\uff11",  # full-width 1, which float() accepts
+    "blank last line",
+    "missing last line",
+    "extra line",
+    "row short",
+    "row long",
+]
+
+
+def bit_grid_text(cells: list[list[str]], change: str | None, r: int, c: int) -> str:
+    """ESRI ASCII grid text of the 0/1 ``cells`` (top row first) as popgrid
+    writes it, with ``change`` made at row ``r`` (and cell ``c``)."""
+    cells = [list(row) for row in cells]
+    if change in ("2", "1.0", "-0", "\uff11"):
+        cells[r][c] = change
+    lines = [" ".join(row) for row in cells]
+    sep = {"doubled space": "  ", "tab": "\t", "\xa0": "\xa0"}.get(change)
+    if sep:
+        lines[r] = lines[r].replace(" ", sep, 1) if " " in lines[r] else sep + lines[r]
+    if change == "trailing space":
+        lines[r] += " "
+    elif change == "row short":
+        lines[r] = lines[r][:-2]
+    elif change == "row long":
+        lines[r] += " 1"
+    elif change == "blank last line":
+        lines.append("")
+    elif change == "missing last line":
+        lines.pop()
+    elif change == "extra line":
+        lines.append(lines[0])
+    nodata = change.split()[1] if change in ("nodata 0", "nodata 1") else "-9999"
+    header = [
+        f"NCOLS {len(cells[0])}",
+        f"NROWS {len(cells)}",
+        "XLLCORNER 0.0",
+        "YLLCORNER 0.0",
+        "CELLSIZE 15.0",
+        f"NODATA_VALUE {nodata}",
+    ]
+    eol = "\r\n" if change == "crlf" else "\n"
+    return ("\ufeff" if change == "bom" else "") + eol.join(header + lines) + eol
+
+
+@st.composite
+def bit_grid_texts(draw) -> str:
+    """A 0/1 grid written as popgrid writes it, with at most one change."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from("01"), min_size=n_cols, max_size=n_cols)
+    cells = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    change = draw(st.sampled_from(_BIT_CHANGES))
+    return bit_grid_text(cells, change, draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1)))
+
+
 _NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF]
 _palette_values = st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, 2.0**53 + 2, 5e-324]
@@ -926,9 +1000,25 @@ class TestGridFastPaths:
     def test_read_equals_the_streamed_reader(self, tmp_path_factory, text):
         p = tmp_path_factory.mktemp("grid") / "g.asc"
         p.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(io, "_parse_rows", lambda *args: None):
-            want = read_outcome(p)
-        assert read_outcome(p) == want
+        assert read_outcome(p) == streamed_outcome(p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=bit_grid_texts())
+    def test_read_of_a_bit_grid_equals_the_streamed_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("grid") / "g.asc"
+        p.write_bytes(text.encode("utf-8"))
+        assert read_outcome(p) == streamed_outcome(p)
+
+    @pytest.mark.parametrize("change", _BIT_CHANGES)
+    def test_byte_path_takes_canonical_bit_bodies_only(self, tmp_path, change):
+        cells = [["1", "0", "1", "1"], ["0", "0", "1", "0"], ["1", "1", "0", "0"]]
+        p = tmp_path / "g.asc"
+        p.write_bytes(bit_grid_text(cells, change, 1, 2).encode("utf-8"))
+        values = io._parse_bits(io.read_text(p).splitlines(), 6, 3, 4)
+        if change in _CANONICAL_BIT_CHANGES:
+            assert values.tolist() == [[float(v) for v in row] for row in reversed(cells)]
+        else:
+            assert values is None
 
     def test_numpy_parses_one_row_per_line_only(self, data_dir):
         lines = (data_dir / "mask.asc").read_text().splitlines()
@@ -963,6 +1053,49 @@ class TestGridFastPaths:
             io.write_ascii_grid(raster, p)
         assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_write_of_bits_matches_per_cell_reference(self, tmp_path_factory, data):
+        # without a nodata flag the grid is filled as bytes, with one the block formatter writes it
+        n_rows, n_cols = data.draw(st.integers(1, 12)), data.draw(st.sampled_from([1, 2]) | st.integers(1, 12))
+        block = data.draw(st.sampled_from([1, 2, 5, 16, 2**16]))  # n_cols > block, and not dividing it
+        n = n_rows * n_cols
+        cells = data.draw(st.lists(st.sampled_from([0.0, 1.0, -0.0]), min_size=n, max_size=n))
+        flags = data.draw(st.just([False] * n) | st.lists(st.booleans(), min_size=n, max_size=n))
+        raster = io.Raster(
+            0.0,
+            0.0,
+            30.0,
+            np.array(cells).reshape(n_rows, n_cols),
+            np.array(flags).reshape(n_rows, n_cols),
+            data.draw(st.sampled_from([0.0, 1.0, -9999.0])),
+        )
+        p = tmp_path_factory.mktemp("grid") / "g.asc"
+        with mock.patch.object(io, "_BIT_BLOCK", block):
+            io.write_ascii_grid(raster, p)
+        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+
+    def test_city_mask_round_trips_as_bytes(self, tmp_path):
+        spec = synth.ScenarioSpec(  # the benchmark's city at seed 0
+            seed=8001,
+            extent=BBox(0.0, 0.0, 15360.0, 15360.0),
+            n_units=500,
+            n_poi_clusters=720,
+            poi_cluster_size_range=(10, 18),
+            pixel_size=15.0,
+            n_scattered_pois=400,
+        )
+        mask = synth.generate(spec).mask
+        p = tmp_path / "mask.asc"
+        off = AssertionError("a 0/1 grid without nodata left the byte paths")
+        with mock.patch.object(io, "_format_block", side_effect=off), mock.patch.object(
+            io, "_parse_rows", side_effect=off
+        ), mock.patch.object(io, "_stream_values", side_effect=off):
+            io.write_ascii_grid(mask, p)
+            back = io.read_ascii_grid(p)
+        assert back.grid == mask.grid and not back.nodata.any()
+        assert back.values.tobytes() == (mask.values + 0.0).tobytes()  # -0.0 is written as 0
+
     def test_write_of_a_signaling_nan_warns_nothing(self, tmp_path):
         values = np.array([[1.0, 0.0]])
         values.view(np.int64)[0, 1] = 0x7FF0000000000001  # np.floor of it sets "invalid"
@@ -996,6 +1129,44 @@ class TestGridFastPaths:
         io.write_ascii_grid(io.Raster(0.0, 0.0, 30.0, values), tmp_path / "g.asc")
         # the nodata token, then one block of 4096 cells: each distinct value once
         assert sum(formatted) == 1 + formatted_cells
+
+
+class TestStaged:
+    """``io.staged`` moves every output into place, or none of them."""
+
+    def test_targets_are_replaced_when_the_block_ends(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old")
+        with io.staged(tmp_path / "a.txt", str(tmp_path / "b.txt")) as (a, b):
+            assert a.parent == b.parent == tmp_path
+            a.write_text("new a")
+            b.write_text("new b")
+            assert sorted(os.listdir(tmp_path)) == sorted(["a.txt", a.name, b.name])
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+        assert [(tmp_path / n).read_text() for n in ("a.txt", "b.txt")] == ["new a", "new b"]
+
+    def test_an_error_in_the_block_leaves_the_targets_and_no_temporaries(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old")
+        with pytest.raises(ZeroDivisionError):
+            with io.staged(tmp_path / "a.txt", tmp_path / "b.txt") as (a, b):
+                a.write_text("new")
+                b.write_text("new")
+                1 / 0
+        assert os.listdir(tmp_path) == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text() == "old"
+
+    @pytest.mark.parametrize("blocked", [0, 1])
+    @pytest.mark.parametrize("error", [IsADirectoryError, FileNotFoundError])
+    def test_a_target_that_cannot_be_written_is_refused_first(self, tmp_path, blocked, error):
+        targets = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        if error is IsADirectoryError:
+            targets[blocked].mkdir()
+        else:
+            targets[blocked] = tmp_path / "missing" / "b.txt"
+        with pytest.raises(error) as info:
+            with io.staged(*targets):
+                pass
+        assert info.value.filename == str(targets[blocked])  # as the target's own write would name it
+        assert os.listdir(tmp_path) == ([targets[blocked].name] if error is IsADirectoryError else [])
 
 
 class TestRasterGrid:
