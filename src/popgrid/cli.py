@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import disaggregate, evaluate, io, render, synth
 from .errors import AlignmentError, ConfigurationError, ParameterError, PopgridError, ValidationError
@@ -50,7 +49,6 @@ class PipelineConfig:
     origin_y: float | None = None
     n_cols: int | None = None
     n_rows: int | None = None
-    workers: int = 1
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -90,8 +88,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
     if not (math.isfinite(as_real(cfg.tile_size)) and cfg.tile_size > 0):
         raise ParameterError(f"tile size must be a positive finite number, got {cfg.tile_size!r}")
-    if isinstance(cfg.workers, bool) or not isinstance(cfg.workers, numbers.Integral) or cfg.workers < 1:
-        raise ParameterError(f"workers must be an integer of at least 1, got {cfg.workers!r}")
     return cfg
 
 
@@ -121,11 +117,15 @@ def _derive_grid(cfg: PipelineConfig, units=None) -> TileGrid:
     return grid
 
 
-def _read_binary(path: str) -> io.BinaryRaster:
-    """The 0/1 raster at ``path``; a ValidationError names the file."""
+_Kind = TypeVar("_Kind", bound=io.Raster)
+
+
+def _read_grid(path: str, as_kind: Callable[[io.Raster], _Kind]) -> _Kind:
+    """The grid at ``path``, checked as its kind by ``as_kind``; a
+    ValidationError names the file."""
     raster = io.read_ascii_grid(path)
     try:
-        return io.BinaryRaster.from_raster(raster)
+        return as_kind(raster)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
@@ -169,7 +169,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 errors.append(f"{type(e).__name__}: {e}")
         if args.mask:
             try:
-                mask_raster = _read_binary(args.mask)
+                mask_raster = _read_grid(args.mask, io.BinaryRaster.from_raster)
                 checked["mask"] = {
                     "n_cols": mask_raster.n_cols,
                     "n_rows": mask_raster.n_rows,
@@ -206,7 +206,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not units:
         raise ValidationError(f"no polygons in {cfg.admin}: run needs at least one admin unit")
     pois = io.read_poi(cfg.poi)
-    mask = _read_binary(cfg.mask)
+    mask = _read_grid(cfg.mask, io.BinaryRaster.from_raster)
     grid = _derive_grid(cfg, units)
     tile_mask = compute_tile_mask(grid, pois, cfg.poi_radius, cfg.poi_threshold)
     pop_grid, report = disaggregate.run_disaggregation(mask, grid, units, tile_mask)
@@ -269,8 +269,8 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    predicted = _read_binary(args.predicted)
-    reference = _read_binary(args.reference)
+    predicted = _read_grid(args.predicted, io.BinaryRaster.from_raster)
+    reference = _read_grid(args.reference, io.BinaryRaster.from_raster)
     if predicted.grid == reference.grid:
         counts = evaluate.confusion(predicted, reference)
     elif predicted.pixel_size < reference.pixel_size:
@@ -302,9 +302,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_zonal(args: argparse.Namespace) -> int:
-    pop = io.population_grid_from_raster(io.read_ascii_grid(args.grid))
+    pop = _read_grid(args.grid, io.population_grid_from_raster)
     units = io.read_admin_units(args.admin, expected_level=args.level)
-    built = io.read_ascii_grid(args.built) if args.built else None
+    built = _read_grid(args.built, io.BinaryRaster.from_raster) if args.built else None
     rows = evaluate.zonal_stats(pop, units, built=built)
     with io.staged(args.out) as (temp,):
         io.write_zonal_csv(rows, temp)
@@ -379,7 +379,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--origin-y", dest="origin_y", type=float, default=None)
     p.add_argument("--n-cols", dest="n_cols", type=int, default=None)
     p.add_argument("--n-rows", dest="n_rows", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help="accepted and ignored: popgrid runs on one thread")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
 

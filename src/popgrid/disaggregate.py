@@ -248,7 +248,7 @@ def allocate(
         fallback_units=sum(r.fallback_used for r in rows),
         overlap_pixels=assignment.overlap_pixels,
     )
-    pop_grid = PopulationGrid(grid=grid, values=values.reshape(grid.n_rows, grid.n_cols))
+    pop_grid = PopulationGrid.on(grid, values.reshape(grid.n_rows, grid.n_cols))
     return pop_grid, report
 
 
@@ -271,7 +271,7 @@ def allocate_uniform(grid: TileGrid, units: Sequence[AdminUnit]) -> PopulationGr
     values = np.zeros(grid.n_tiles, dtype=np.float64)
     for unit in units:
         _spread_evenly(values, grid, unit.geometry, unit.population)
-    return PopulationGrid(grid=grid, values=values.reshape(grid.n_rows, grid.n_cols))
+    return PopulationGrid.on(grid, values.reshape(grid.n_rows, grid.n_cols))
 
 
 def brute_force_allocate(
@@ -342,4 +342,4 @@ def brute_force_allocate(
                 tc = min(max(tc, 0), grid.n_cols - 1)
                 tr = min(max(tr, 0), grid.n_rows - 1)
                 values[tr][tc] += pop
-    return PopulationGrid(grid=grid, values=np.array(values, dtype=np.float64))
+    return PopulationGrid.on(grid, values)

@@ -4,7 +4,9 @@
 A raster's cells are a :class:`TileGrid` (``Raster.grid``), and
 ``Raster.on(grid, values)`` builds a raster on a grid; these are the only
 two bridges between the descriptions, so a raster with a non-finite origin
-or cell size, or an empty axis, cannot be built.
+or cell size, or an empty axis, cannot be built. The two checked kinds,
+``BinaryRaster`` (data cells 0 or 1) and ``PopulationGrid`` (float64, finite,
+non-negative, no nodata), are rasters built the same way.
 
 Coordinates are projected meters throughout. Files written by this module
 use shortest-exact float formatting, so a write/read cycle reproduces every
@@ -187,30 +189,26 @@ class BinaryRaster(Raster):
         return cls.on(raster.grid, raster.values, raster.nodata, raster.nodata_value)
 
 
-@dataclass(frozen=True)
-class PopulationGrid:
-    """Per-tile population estimates on a TileGrid."""
-
-    grid: TileGrid
-    values: np.ndarray  # float64, shape (n_rows, n_cols)
+class PopulationGrid(Raster):
+    """Per-tile population estimates: a float64 raster with no nodata cell
+    whose values are finite and non-negative."""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.grid.n_rows, self.grid.n_cols):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        super().__post_init__()
+        if self.nodata.any():
+            raise ValidationError(f"population grid has {np.count_nonzero(self.nodata)} nodata cell(s)")
+        ok = np.isfinite(self.values)
+        ok &= self.values >= 0
+        if not ok.all():
+            bad = self.values[~ok]
+            cells = "1 cell that is" if bad.size == 1 else f"{bad.size} cells that are"
             raise ValidationError(
-                f"population values shape {values.shape} does not match grid "
-                f"{self.grid.n_rows}x{self.grid.n_cols}"
+                f"population grid has {cells} negative or not finite (e.g. {float(bad.flat[0])!r})"
             )
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValidationError("population values must be finite and non-negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     def total(self) -> float:
         return float(self.values.sum())
-
-    def as_raster(self) -> Raster:
-        return Raster.on(self.grid, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +738,8 @@ def _is_bits(values: np.ndarray) -> bool:
     return all(((block == 0) | (block == 1)).all() for block in _blocks(values, _RULE_BLOCK))
 
 
-def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
-    """Write a raster or population grid as an ESRI ASCII grid.
+def write_ascii_grid(raster: Raster, path: str | Path) -> None:
+    """Write a raster as an ESRI ASCII grid.
 
     Integer-valued grids are written as integers; reals use shortest exact
     float formatting so a read of the written file reproduces each value
@@ -751,7 +749,6 @@ def write_ascii_grid(obj: Raster | PopulationGrid, path: str | Path) -> None:
     ``_WRITE_BLOCK`` cells at a time, each distinct value of a block
     formatted once. Both give the same text, and neither holds the file's.
     """
-    raster = obj.as_raster() if isinstance(obj, PopulationGrid) else obj
     values = np.asarray(raster.values, dtype=np.float64)
     na = np.array([raster.nodata_value], dtype=np.float64)
     (na_token,) = _row_formatter(na)(na)
@@ -806,10 +803,10 @@ def raster_from_tile_mask(mask: TileMask) -> Raster:
 def population_grid_from_raster(raster: Raster) -> PopulationGrid:
     """Interpret a tile-resolution raster as a population grid.
 
-    Nodata cells become 0; negative values are rejected.
+    Nodata cells become 0; negative and non-finite values are rejected.
     """
     values = np.where(raster.nodata, 0.0, np.asarray(raster.values, dtype=np.float64))
-    return PopulationGrid(grid=raster.grid, values=values)
+    return PopulationGrid.on(raster.grid, values)
 
 
 # ---------------------------------------------------------------------------

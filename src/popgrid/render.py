@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .io import PopulationGrid, Raster
+from .io import Raster
 
 __all__ = ["render_pgm", "gray_levels"]
 
@@ -41,12 +41,11 @@ def gray_levels(values: np.ndarray, nodata: np.ndarray, scale: str = "linear") -
 
 
 def render_pgm(
-    obj: Raster | PopulationGrid,
+    raster: Raster,
     path: str | Path,
     scale: str = "linear",
     fmt: str = "P2",
 ) -> None:
-    raster = obj.as_raster() if isinstance(obj, PopulationGrid) else obj
     fmt = fmt.upper()
     if fmt not in ("P2", "P5"):
         raise ParameterError(f"fmt must be 'P2' or 'P5', got {fmt!r}")

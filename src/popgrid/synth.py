@@ -113,7 +113,7 @@ class GroundTruth:
         return px.reshape(self.grid.n_rows, ratio, self.grid.n_cols, ratio).sum(axis=(1, 3))
 
     def tile_population(self) -> PopulationGrid:
-        return PopulationGrid(grid=self.grid, values=self._tile_values)
+        return PopulationGrid.on(self.grid, self._tile_values)
 
     def total_population(self) -> float:
         return float(sum(u.population for u in self.units))

@@ -60,7 +60,9 @@ def run_pipeline(scenario, out_dir, *extra) -> int:
     )
 
 
-# One value of each JSON kind, for every PipelineConfig field.
+# One value of each JSON kind, for every PipelineConfig field and for a key
+# that is no field (popgrid runs on one thread, so it has no workers setting).
+UNKNOWN_KEY = "workers"
 CONFIG_VALUES = {"true": True, "str": "x", "list": [1], "null": None, "huge": 10**400, "nan": math.nan}
 # The cells of that table that are a valid config, and why; every other cell
 # exits 2 with a typed error.
@@ -71,7 +73,6 @@ VALID_CONFIG_CELLS = {
     ("n_cols", "null"): "the grid is derived from the admin extent",
     ("n_rows", "null"): "the grid is derived from the admin extent",
     ("poi_threshold", "huge"): "no tile reaches the threshold, so POI exclusion turns off",
-    ("workers", "huge"): "workers is accepted and ignored",
 }
 
 
@@ -213,7 +214,7 @@ class TestRun:
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
         assert run_pipeline(scenario, out1) == 0
-        assert run_pipeline(scenario, out2, "--workers", "4") == 0
+        assert run_pipeline(scenario, out2) == 0
         report = json.loads((out1 / "report.json").read_text())
         totals = report["totals"]
         assert totals["population_out"] == pytest.approx(totals["population_in"], rel=1e-9)
@@ -329,9 +330,7 @@ class TestRun:
             ({"tile_size": "30"}, "ParameterError"),
             ({"tile_size": True}, "ParameterError"),
             ({"tile_size": None}, "ParameterError"),
-            ({"workers": "4"}, "ParameterError"),
-            ({"workers": 2.5}, "ParameterError"),
-            ({"workers": True}, "ParameterError"),
+            ({"workers": 1}, "ConfigurationError"),
             ({"admin": 5}, "ConfigurationError"),
             ({"out": 7}, "ConfigurationError"),
             ({"origin_x": "0", "origin_y": 0, "n_cols": 32, "n_rows": 32}, "ParameterError"),
@@ -345,9 +344,7 @@ class TestRun:
             "tile_size-str",
             "tile_size-bool",
             "tile_size-null",
-            "workers-str",
-            "workers-float",
-            "workers-bool",
+            "workers-unknown",
             "admin-int",
             "out-int",
             "origin_x-str",
@@ -373,7 +370,7 @@ class TestRun:
         return make_scenario(tmp_path_factory.mktemp("table") / "s")
 
     @pytest.mark.parametrize("value", list(CONFIG_VALUES))
-    @pytest.mark.parametrize("name", [f.name for f in fields(cli.PipelineConfig)])
+    @pytest.mark.parametrize("name", [*(f.name for f in fields(cli.PipelineConfig)), UNKNOWN_KEY])
     def test_config_field_value_table(self, tmp_path, shared_scenario, capsys, monkeypatch, name, value):
         monkeypatch.chdir(tmp_path)  # where a relative out path lands
         paths = {key: shared_scenario[key] for key in ("admin", "poi", "mask")}
@@ -389,6 +386,8 @@ class TestRun:
         assert typed, err
         error = getattr(errors, typed[1], None) or getattr(builtins, typed[1])
         assert issubclass(error, (errors.PopgridError, OSError))
+        if name == UNKNOWN_KEY:
+            assert f"ERROR: ConfigurationError: {cfg_path}: unknown config keys ['{UNKNOWN_KEY}']" in err
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_tile_size_flag_exits_two(self, tmp_path, scenario, capsys):
@@ -931,6 +930,43 @@ class TestZonal:
         assert len(lines) == 2 + 5  # header + 5 units + _unassigned
         total = sum(float(line.split(",")[1]) for line in lines[1:])
         assert total == pytest.approx(payload["grand_total"], rel=1e-9)
+
+    @staticmethod
+    def with_first_row(source: Path, path: Path, cells: list[str]) -> None:
+        """Copy the grid at ``source`` to ``path`` with the first cells of
+        its first (northernmost) row replaced by ``cells``."""
+        lines = source.read_text().splitlines(keepends=True)
+        row = lines[6].split(" ")
+        lines[6] = " ".join([*cells, *row[len(cells):]])
+        path.write_text("".join(lines))
+
+    def test_built_raster_outside_zero_one_exits_two(self, tmp_path, scenario, capsys):
+        out = tmp_path / "o"
+        assert run_pipeline(scenario, out) == 0
+        csv_path = tmp_path / "z.csv"
+        argv = ["zonal", "--grid", str(out / "population.asc"), "--admin", scenario["admin"], "--out", str(csv_path)]
+        assert main([*argv, "--built", str(out / "tile_mask.asc")]) == 0
+        csv_path.unlink()
+        built = tmp_path / "built.asc"
+        self.with_first_row(out / "tile_mask.asc", built, ["2", "0.5", "nan", "-1", "7"])
+        capsys.readouterr()
+        assert main([*argv, "--built", str(built)]) == 2
+        message = f"ERROR: ValidationError: {built}: binary raster has 5 cells outside {{0, 1}} (e.g. 2.0)"
+        assert message in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("bad", ["-1", "inf", "nan"])
+    def test_population_grid_with_a_bad_cell_exits_two(self, tmp_path, scenario, capsys, bad):
+        out = tmp_path / "o"
+        assert run_pipeline(scenario, out) == 0
+        grid = tmp_path / "pop.asc"
+        self.with_first_row(out / "population.asc", grid, [bad])
+        csv_path = tmp_path / "z.csv"
+        capsys.readouterr()
+        assert main(["zonal", "--grid", str(grid), "--admin", scenario["admin"], "--out", str(csv_path)]) == 2
+        message = f"population grid has 1 cell that is negative or not finite (e.g. {float(bad)!r})"
+        assert f"ERROR: ValidationError: {grid}: {message}" in capsys.readouterr().err
+        assert not csv_path.exists()
 
 
 class TestRender:

@@ -196,7 +196,7 @@ class TestZonalStats:
     def test_single_unit_covers_grid(self):
         grid = TileGrid(0, 0, 4, 4, 30.0)
         rng = np.random.default_rng(5)
-        pop = PopulationGrid(grid=grid, values=rng.random((4, 4)) * 100)
+        pop = PopulationGrid.on(grid, rng.random((4, 4)) * 100)
         rows = zonal_stats(pop, [unit("all", (0, 0, 120, 120))])
         assert rows[0].population_sum == pytest.approx(pop.total(), rel=1e-12)
         assert rows[0].tile_count == 16
@@ -205,7 +205,7 @@ class TestZonalStats:
 
     def test_disjoint_unit_gets_zero(self):
         grid = TileGrid(0, 0, 4, 4, 30.0)
-        pop = PopulationGrid(grid=grid, values=np.full((4, 4), 2.0))
+        pop = PopulationGrid.on(grid, np.full((4, 4), 2.0))
         rows = zonal_stats(pop, [unit("far", (900, 900, 990, 990))])
         assert rows[0].population_sum == 0.0
         assert rows[0].tile_count == 0
@@ -215,7 +215,7 @@ class TestZonalStats:
     def test_partition_rows_sum_to_grand_total(self):
         rng = np.random.default_rng(6)
         grid = TileGrid(0, 0, 8, 8, 30.0)
-        pop = PopulationGrid(grid=grid, values=rng.random((8, 8)) * 50)
+        pop = PopulationGrid.on(grid, rng.random((8, 8)) * 50)
         units = [
             unit("q1", (0, 0, 120, 120)),
             unit("q2", (120, 0, 240, 120)),
@@ -229,13 +229,13 @@ class TestZonalStats:
 
     def test_mean_density(self):
         grid = TileGrid(0, 0, 2, 1, 100.0)  # two 100 m tiles = 0.01 km^2 each
-        pop = PopulationGrid(grid=grid, values=np.array([[10.0, 30.0]]))
+        pop = PopulationGrid.on(grid, np.array([[10.0, 30.0]]))
         rows = zonal_stats(pop, [unit("u", (0, 0, 200, 100))])
         assert rows[0].mean_density == pytest.approx(40.0 / 0.02, rel=1e-12)
 
     def test_built_tile_count_from_raster(self):
         grid = TileGrid(0, 0, 2, 1, 30.0)
-        pop = PopulationGrid(grid=grid, values=np.array([[5.0, 0.0]]))
+        pop = PopulationGrid.on(grid, np.array([[5.0, 0.0]]))
         built = Raster(origin_x=0, origin_y=0, pixel_size=30.0, values=np.array([[1.0, 1.0]]))
         rows = zonal_stats(pop, [unit("u", (0, 0, 60, 30))], built=built)
         assert rows[0].built_tile_count == 2

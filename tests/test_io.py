@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from popgrid import io, synth
+from popgrid import io, render, synth
 from popgrid.errors import (
     ConfigurationError,
     FormatError,
@@ -676,9 +677,9 @@ class TestAsciiGrid:
         assert self.traced_peak(lambda: io.read_ascii_grid(p)) < bound
 
     def test_write_never_holds_the_files_text(self, tmp_path, real_grid):
-        # No more than grid-sized temporaries (as_raster's nodata flags). The
-        # text is about 18 bytes per cell here, so one whole copy of it breaks
-        # the bound.
+        # No more than grid-sized temporaries (9 bytes a cell would hold a
+        # float64 copy of the values and a nodata flag). The text is about 18
+        # bytes per cell here, so one whole copy of it breaks the bound.
         p = tmp_path / "g.asc"
         assert self.traced_peak(lambda: io.write_ascii_grid(real_grid, p)) < 9 * real_grid.values.size + 2**20
         assert io.read_ascii_grid(p).values.tobytes() == real_grid.values.tobytes()
@@ -762,7 +763,7 @@ class TestAsciiGrid:
 
     def test_population_grid_round_trip(self, tmp_path):
         grid = TileGrid(origin_x=30.0, origin_y=-60.0, n_cols=3, n_rows=2, tile_size=30.0)
-        pg = io.PopulationGrid(grid=grid, values=np.array([[0.1, 2.25, 0.0], [75.0, 25.0, 1e-7]]))
+        pg = io.PopulationGrid.on(grid, np.array([[0.1, 2.25, 0.0], [75.0, 25.0, 1e-7]]))
         p = tmp_path / "pop.asc"
         io.write_ascii_grid(pg, p)
         back = io.population_grid_from_raster(io.read_ascii_grid(p))
@@ -1220,6 +1221,70 @@ class TestRasterGrid:
         kwargs = {"origin_x": 0.0, "origin_y": 0.0, "pixel_size": 30.0, "values": np.zeros((2, 3)), **bad}
         with pytest.raises(ValidationError):
             io.Raster(**kwargs)
+
+
+@st.composite
+def population_grids(draw) -> io.PopulationGrid:
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = n_rows * n_cols
+    kinds = [st.sampled_from([0.0, 1.0]), st.integers(0, SAFE_INT).map(float), st.floats(0.0, 1e300)]
+    values = np.array(draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n)))
+    coord = st.floats(-1e7, 1e7)
+    grid = TileGrid(draw(coord), draw(coord), n_cols, n_rows, draw(st.floats(1e-3, 1e4)))
+    return io.PopulationGrid.on(grid, values.reshape(n_rows, n_cols))
+
+
+class TestPopulationGrid:
+    """A PopulationGrid is a Raster without nodata whose values are finite
+    and non-negative."""
+
+    GRID = TileGrid(origin_x=30.0, origin_y=-60.0, n_cols=3, n_rows=2, tile_size=30.0)
+
+    def test_is_a_float_raster_on_its_grid(self):
+        pg = io.PopulationGrid.on(self.GRID, np.arange(6).reshape(2, 3))
+        assert isinstance(pg, io.Raster)
+        assert pg.grid == self.GRID
+        assert pg.values.dtype == np.float64 and pg.values.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert pg.nodata.shape == (2, 3) and not pg.nodata.any()
+        assert pg.nodata_value == -9999.0
+        assert pg.total() == 15.0
+
+    def test_on_refuses_values_of_another_shape(self):
+        with pytest.raises(ValidationError, match=r"raster values shape \(3, 2\) does not match grid 2x3"):
+            io.PopulationGrid.on(self.GRID, np.zeros((3, 2)))
+
+    def test_on_refuses_a_nodata_cell(self):
+        nodata = np.zeros((2, 3), dtype=bool)
+        nodata[1, 2] = True
+        with pytest.raises(ValidationError, match=r"^population grid has 1 nodata cell\(s\)$"):
+            io.PopulationGrid.on(self.GRID, np.ones((2, 3)), nodata)
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, -math.inf, math.inf, math.nan])
+    def test_on_refuses_a_negative_or_non_finite_value(self, bad):
+        values = np.ones((2, 3))
+        values[0, 1] = bad
+        message = f"population grid has 1 cell that is negative or not finite (e.g. {bad!r})"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            io.PopulationGrid.on(self.GRID, values.copy())
+        values[1] = [bad, -2.0, 3.0]
+        with pytest.raises(ValidationError, match="has 3 cells that are negative or not finite"):
+            io.PopulationGrid.on(self.GRID, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pg=population_grids())
+    def test_writes_and_renders_the_bytes_of_the_plain_raster(self, tmp_path_factory, pg):
+        d = tmp_path_factory.mktemp("pop")
+
+        def outputs(raster: io.Raster) -> list[bytes]:
+            io.write_ascii_grid(raster, d / "g.asc")
+            blobs = [(d / "g.asc").read_bytes()]
+            for fmt in ("P2", "P5"):
+                for scale in ("linear", "log"):
+                    render.render_pgm(raster, d / "g.pgm", scale=scale, fmt=fmt)
+                    blobs.append((d / "g.pgm").read_bytes())
+            return blobs
+
+        assert outputs(pg) == outputs(io.Raster.on(pg.grid, pg.values))
 
 
 class TestGoldenFuzz:

@@ -117,7 +117,7 @@ def test_overlap_pixels_equal_nested_count(name):
 def test_zonal_rows_equal_first_wins_oracle(name):
     grid, _, _, units = world(name)
     rng = np.random.default_rng(7)
-    pop = PopulationGrid(grid=grid, values=rng.random((grid.n_rows, grid.n_cols)) * 40.0)
+    pop = PopulationGrid.on(grid, rng.random((grid.n_rows, grid.n_cols)) * 40.0)
     flat_pop = pop.values.reshape(-1)
     owned: dict[str, list[int]] = {u.id: [] for u in units}
     owned[UNASSIGNED_ID] = []

@@ -211,7 +211,7 @@ class TestScore:
 
     def test_all_zero_estimate(self):
         truth = synth.generate(small_spec(8))
-        zeros = io.PopulationGrid(grid=truth.grid, values=np.zeros((truth.grid.n_rows, truth.grid.n_cols)))
+        zeros = io.PopulationGrid.on(truth.grid, np.zeros((truth.grid.n_rows, truth.grid.n_cols)))
         result = synth.score(zeros, truth)
         n = truth.grid.n_tiles
         assert result.mae == pytest.approx(truth.total_population() / n, rel=1e-9)
@@ -219,10 +219,8 @@ class TestScore:
 
     def test_misaligned_estimate_rejected(self):
         truth = synth.generate(small_spec(9))
-        other = io.PopulationGrid(
-            grid=synth.generate(small_spec(9, extent=BBox(0, 0, 480, 480))).grid,
-            values=np.zeros((16, 16)),
-        )
+        grid = synth.generate(small_spec(9, extent=BBox(0, 0, 480, 480))).grid
+        other = io.PopulationGrid.on(grid, np.zeros((16, 16)))
         with pytest.raises(AlignmentError):
             synth.score(other, truth)
 
