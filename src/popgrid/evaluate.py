@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AlignmentError, ParameterError
 from .geo import TileGrid, first_owners
-from .io import AdminUnit, PopulationGrid, Raster
+from .io import AdminUnit, BinaryRaster, PopulationGrid, Raster
 
 __all__ = [
     "ConfusionCounts",
@@ -152,14 +152,16 @@ def zonal_stats(
 
     Tiles claimed by no unit are reported under a final ``_unassigned`` row,
     so the rows always total the grid's grand total. When ``built`` (a
-    tile-resolution 0/1 raster) is given it supplies built_tile_count;
-    otherwise tiles with positive population are counted as built.
+    tile-resolution 0/1 raster, checked as a :class:`BinaryRaster`) is given
+    it supplies built_tile_count; otherwise tiles with positive population
+    are counted as built.
     """
     grid = pop.grid
     flat_pop = pop.values.reshape(-1)
     if built is not None:
         if built.grid != grid:
             raise AlignmentError("built raster does not match the population grid geometry")
+        built = BinaryRaster.from_raster(built)
         built_flat = (built.values.reshape(-1) != 0) & ~built.nodata.reshape(-1)
     else:
         built_flat = flat_pop > 0

@@ -123,7 +123,8 @@ class Raster:
     Its cells are the tiles of ``grid``, a :class:`TileGrid` built (and so
     checked) at construction: pixel (c, r) is centered at
     (origin_x + (c+0.5)*pixel_size, origin_y + (r+0.5)*pixel_size).
-    ``nodata`` masks missing cells.
+    ``nodata`` masks missing cells. Once every check has passed, the value
+    and nodata arrays are made read-only in place, with no copy.
     """
 
     origin_x: float
@@ -145,21 +146,24 @@ class Raster:
         if nodata.shape != values.shape:
             raise ValidationError("nodata mask shape does not match values")
         grid = TileGrid(self.origin_x, self.origin_y, values.shape[1], values.shape[0], self.pixel_size)
-        values.setflags(write=False)
-        nodata.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "nodata", nodata)
         object.__setattr__(self, "grid", grid)
+        self._check()
+        # frozen last, so a refused raster leaves the caller's arrays writable
+        values.setflags(write=False)
+        nodata.setflags(write=False)
+
+    def _check(self) -> None:
+        """Refuse values outside the raster's kind; a subclass's own checks."""
 
     @classmethod
     def on(cls, grid: TileGrid, values, nodata=None, nodata_value: float = -9999.0):
         """A raster whose cells are the tiles of ``grid``."""
-        raster = cls(grid.origin_x, grid.origin_y, grid.tile_size, values, nodata, nodata_value)
-        if raster.grid != grid:
-            raise ValidationError(
-                f"raster values shape {raster.values.shape} does not match grid {grid.n_rows}x{grid.n_cols}"
-            )
-        return raster
+        shape = np.shape(values)
+        if len(shape) == 2 and shape != (grid.n_rows, grid.n_cols):
+            raise ValidationError(f"raster values shape {shape} does not match grid {grid.n_rows}x{grid.n_cols}")
+        return cls(grid.origin_x, grid.origin_y, grid.tile_size, values, nodata, nodata_value)
 
     @property
     def n_rows(self) -> int:
@@ -173,8 +177,7 @@ class Raster:
 class BinaryRaster(Raster):
     """A raster whose valid cells are exactly 0 or 1 (the built-up mask)."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self) -> None:
         ok = self.values == 0  # checked in place: one byte a cell, no copy of the values
         ok |= self.values == 1
         ok |= self.nodata
@@ -186,6 +189,9 @@ class BinaryRaster(Raster):
 
     @classmethod
     def from_raster(cls, raster: Raster) -> "BinaryRaster":
+        """``raster`` checked as a 0/1 raster; a BinaryRaster is returned as it is."""
+        if isinstance(raster, cls):
+            return raster
         return cls.on(raster.grid, raster.values, raster.nodata, raster.nodata_value)
 
 
@@ -196,6 +202,8 @@ class PopulationGrid(Raster):
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         super().__post_init__()
+
+    def _check(self) -> None:
         if self.nodata.any():
             raise ValidationError(f"population grid has {np.count_nonzero(self.nodata)} nodata cell(s)")
         ok = np.isfinite(self.values)
@@ -565,12 +573,19 @@ def write_poi_csv(pois: PoiSet, path: str | Path) -> None:
 
 
 def write_poi_geojson(pois: PoiSet, path: str | Path) -> None:
-    features = [
-        {"type": "Feature", "properties": {"category": c}, "geometry": {"type": "Point", "coordinates": [x, y]}}
+    """Write the text ``json.dumps`` gives for the POI FeatureCollection,
+    one template per feature: a finite float's ``repr`` is json's text for it,
+    and each distinct category is encoded once."""
+    label = {c: json.dumps(c) for c in set(pois.categories)}
+    features = ", ".join(
+        f'{{"type": "Feature", "properties": {{"category": {label[c]}}}, '
+        f'"geometry": {{"type": "Point", "coordinates": [{x!r}, {y!r}]}}}}'
         for x, y, c in zip(pois.xs.tolist(), pois.ys.tolist(), pois.categories)
-    ]
-    doc = {"type": "FeatureCollection", "coordinate_units": "meters", "features": features}
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    )
+    Path(path).write_text(
+        f'{{"type": "FeatureCollection", "coordinate_units": "meters", "features": [{features}]}}',
+        encoding="utf-8",
+    )
 
 
 # ---------------------------------------------------------------------------

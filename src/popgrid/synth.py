@@ -194,10 +194,11 @@ def _place_clusters(
         size = int(rng.integers(lo, hi + 1))
         radii = _CLUSTER_DISC_RADIUS * np.sqrt(rng.random(size))
         angles = 2.0 * math.pi * rng.random(size)
+        # libm's cos and sin: numpy's may differ in the last ulp, and so change the bytes
         for r, a in zip(radii.tolist(), angles.tolist()):
             xs.append(center.x + r * math.cos(a))
             ys.append(center.y + r * math.sin(a))
-            categories.append(str(rng.choice(_CATEGORIES)))
+        categories += [_CATEGORIES[j] for j in rng.integers(len(_CATEGORIES), size=size).tolist()]
     return xs, ys, categories
 
 
@@ -273,7 +274,7 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
     for _ in range(spec.n_scattered_pois):
         xs.append(rng.uniform(e.min_x, e.max_x))
         ys.append(rng.uniform(e.min_y, e.max_y))
-        categories.append(str(rng.choice(_CATEGORIES)))
+        categories.append(_CATEGORIES[rng.integers(len(_CATEGORIES))])
 
     commercial = poi_tile.reshape(n_rows, n_cols).repeat(ratio, axis=0).repeat(ratio, axis=1)
     residential = (built == 1) & ~commercial.ravel()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from popgrid.errors import AlignmentError, ParameterError
+from popgrid.errors import AlignmentError, ParameterError, ValidationError
 from popgrid.evaluate import (
     UNASSIGNED_ID,
     ConfusionCounts,
@@ -13,7 +13,7 @@ from popgrid.evaluate import (
     zonal_stats,
 )
 from popgrid.geo import BBox, TileGrid, rectangle
-from popgrid.io import AdminLevel, AdminUnit, PopulationGrid, Raster
+from popgrid.io import AdminLevel, AdminUnit, BinaryRaster, PopulationGrid, Raster
 from popgrid import synth
 
 
@@ -241,6 +241,25 @@ class TestZonalStats:
         assert rows[0].built_tile_count == 2
         rows = zonal_stats(pop, [unit("u", (0, 0, 60, 30))])
         assert rows[0].built_tile_count == 1  # falls back to positive population
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, float("nan")])
+    def test_built_raster_must_be_zero_or_one(self, bad):
+        grid = TileGrid(0, 0, 2, 1, 30.0)
+        pop = PopulationGrid.on(grid, np.array([[5.0, 0.0]]))
+        built = Raster(origin_x=0, origin_y=0, pixel_size=30.0, values=np.array([[1.0, bad]]))
+        with pytest.raises(ValidationError, match=r"binary raster has 1 cells outside \{0, 1\}"):
+            zonal_stats(pop, [unit("u", (0, 0, 60, 30))], built=built)
+        # a nodata cell is not counted, whatever value it holds
+        built = Raster(0, 0, 30.0, np.array([[1.0, bad]]), np.array([[False, True]]))
+        assert zonal_stats(pop, [unit("u", (0, 0, 60, 30))], built=built)[0].built_tile_count == 1
+
+    def test_built_binary_raster_is_taken_as_it_is(self):
+        grid = TileGrid(0, 0, 2, 1, 30.0)
+        pop = PopulationGrid.on(grid, np.array([[5.0, 0.0]]))
+        built = BinaryRaster.on(grid, np.array([[0, 1]], dtype=np.uint8))
+        assert BinaryRaster.from_raster(built) is built
+        rows = zonal_stats(pop, [unit("u", (0, 0, 60, 30))], built=built)
+        assert rows[0].built_tile_count == 1
 
     def test_synth_partition_reconciles(self):
         truth = synth.generate(synth.ScenarioSpec(seed=13, extent=BBox(0, 0, 960, 960), n_units=7))

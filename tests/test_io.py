@@ -231,6 +231,22 @@ class TestReadAdminUnits:
                 assert ga.holes == gb.holes
 
 
+# POI coordinates and categories whose JSON text has a special case: signed
+# zero, the least subnormal, the largest float, integral floats past 2**53;
+# no category, quotes, backslashes, control characters, non-ASCII text and a
+# lone surrogate
+_poi_coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+_poi_categories = st.one_of(
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from(["", '"', "\\", '\\"', "\x00\x1f\x7f\n\t", "caf\u00e9", "\u5e02\u573a", "\U0001f600", "\ud800"]),
+)
+
+
 class TestReadPoi:
     def test_csv(self, data_dir):
         pois = io.read_poi(data_dir / "poi.csv")
@@ -317,6 +333,26 @@ class TestReadPoi:
         for back in (io.read_poi(d / "p.csv"), io.read_poi(d / "p.geojson")):
             assert back.xs.tobytes() == pois.xs.tobytes() and back.ys.tobytes() == pois.ys.tobytes()
             assert back.categories == pois.categories
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(_poi_coordinates, _poi_coordinates, _poi_categories),
+            max_size=12,
+        )
+    )
+    @example(points=[(-0.0, 5e-324, ""), (1.7976931348623157e308, 3.0, None), (0.0, -2.0**53, '\\"\x00\u00e9\U0001f600')])
+    @example(points=[])
+    def test_geojson_writer_gives_the_bytes_of_json_dumps(self, tmp_path_factory, points):
+        pois = PoiSet([x for x, _, _ in points], [y for _, y, _ in points], [c for _, _, c in points])
+        p = tmp_path_factory.mktemp("poi") / "p.geojson"
+        io.write_poi_geojson(pois, p)
+        features = [
+            {"type": "Feature", "properties": {"category": c}, "geometry": {"type": "Point", "coordinates": [x, y]}}
+            for x, y, c in zip(pois.xs.tolist(), pois.ys.tolist(), pois.categories)
+        ]
+        doc = {"type": "FeatureCollection", "coordinate_units": "meters", "features": features}
+        assert p.read_bytes() == json.dumps(doc).encode("utf-8")
 
     def test_csv_round_trip(self, tmp_path, data_dir):
         pois = io.read_poi(data_dir / "poi.csv")
@@ -1265,10 +1301,32 @@ class TestPopulationGrid:
         values[0, 1] = bad
         message = f"population grid has 1 cell that is negative or not finite (e.g. {bad!r})"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            io.PopulationGrid.on(self.GRID, values.copy())
+            io.PopulationGrid.on(self.GRID, values)
         values[1] = [bad, -2.0, 3.0]
         with pytest.raises(ValidationError, match="has 3 cells that are negative or not finite"):
             io.PopulationGrid.on(self.GRID, values)
+
+    def test_a_refused_grid_leaves_the_callers_arrays_writable(self):
+        values = np.ones((2, 3))
+        values[0, 0] = -1.0
+        nodata = np.zeros((2, 3), dtype=bool)
+        with pytest.raises(ValidationError, match="negative or not finite"):
+            io.PopulationGrid.on(self.GRID, values, nodata)
+        with pytest.raises(ValidationError, match="does not match grid"):
+            io.PopulationGrid.on(TileGrid(0.0, 0.0, 2, 3, 30.0), values, nodata)
+        values[0, 0] = 2.0
+        nodata[1, 1] = True
+        with pytest.raises(ValidationError, match="nodata cell"):
+            io.PopulationGrid.on(self.GRID, values, nodata)
+        nodata[1, 1] = False
+        values[0, 0] = 3.0
+        with pytest.raises(ValidationError, match="outside"):
+            io.BinaryRaster.on(self.GRID, values, nodata)
+        values[0, 0] = 1.0
+        # an accepted grid freezes the caller's arrays, copying neither
+        pg = io.PopulationGrid.on(self.GRID, values, nodata)
+        assert pg.values is values and pg.nodata is nodata
+        assert not values.flags.writeable and not nodata.flags.writeable
 
     @settings(max_examples=100, deadline=None)
     @given(pg=population_grids())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -271,3 +272,79 @@ class TestWriteScenario:
         assert np.array_equal(mask.values, truth.mask.values)
         tiles = io.population_grid_from_raster(io.read_ascii_grid(paths["truth_tiles"]))
         assert np.array_equal(tiles.values, truth.tile_population().values)
+
+
+def philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+# NumPy keeps a generator's stream across versions only as far as NEP 19
+# promises, and it does not promise this identity, so a failure names the
+# installed numpy.
+_NUMPY = f"on numpy {np.__version__}"
+
+
+class TestCategoryStream:
+    """synth draws POI categories as bounded integers mapped through
+    ``_CATEGORIES``: one size-n draw per cluster, one scalar draw per
+    scattered POI. Both must consume the stream as the scalar
+    ``rng.choice(_CATEGORIES)`` loop they replace did."""
+
+    N = len(synth._CATEGORIES)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_vector_draw_is_n_scalar_choices(self, seed):
+        for lead in range(3):  # start on either half of a buffered 32-bit word
+            for n in (1, 2, 7, 18):
+                a, b = philox(seed), philox(seed)
+                assert a.integers(1000, size=lead).tolist() == b.integers(1000, size=lead).tolist()
+                scalar = [str(a.choice(synth._CATEGORIES)) for _ in range(n)]
+                vector = [synth._CATEGORIES[j] for j in b.integers(self.N, size=n).tolist()]
+                assert scalar == vector, f"{n} categories differ {_NUMPY}"
+                assert a.random(3).tolist() == b.random(3).tolist(), f"the stream after {n} draws differs {_NUMPY}"
+                assert a.integers(self.N, size=5).tolist() == b.integers(self.N, size=5).tolist(), _NUMPY
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_interleaved_scalar_draws(self, seed):
+        a, b = philox(seed), philox(seed)
+        for i in range(40):
+            one = (a.uniform(-5.0, 7.0), a.uniform(0.0, 3840.0), str(a.choice(synth._CATEGORIES)))
+            two = (b.uniform(-5.0, 7.0), b.uniform(0.0, 3840.0), synth._CATEGORIES[b.integers(self.N)])
+            assert one == two, f"scattered POI {i} differs {_NUMPY}"
+        assert a.random(3).tolist() == b.random(3).tolist(), _NUMPY
+
+
+# sha256 of each file write_scenario writes for SETUP_SPEC, recorded with the
+# scalar rng.choice category draws they replace
+_SETUP_DIGESTS = {
+    0: {
+        "admin": "33178a7c7502782832ef447595855715255529d1167dc47c8e960eb590e5e1b7",
+        "poi": "6341b3667d813266463838f7250fcdb73c3a2ae019989c9636566ac9f3e5659d",
+        "mask": "f6814c364529d37c7fc25f1c1ef53313675805f16d41bd371dd81382417d73a5",
+        "truth_tiles": "411456e7e18d82b6c17a35310213d8b43b47e243517aa90a39c2a6c1c2bfb054",
+        "meta": "475c0935c91928f4fd93c167383ea43db1b5f089f41f7ab99ab4c8fcce0e3313",
+    },
+    5: {
+        "admin": "174e3e6b376fb12d35ecf7debca7240fc4d0cf2d1090796d79d0d7429521605a",
+        "poi": "0a4675bccfeab9b82968b5ca49d0a9f12611f72a6cf83d3df63ee3a532267b96",
+        "mask": "f1e9dcd0f3551b911daa1d50dda889b13f34c1e7f8f0543a7c03f5803d7f5188",
+        "truth_tiles": "421e9e24a2e613ee7d6362f1f508a745c61912e4fa6a7ca22608926b8ca1b284",
+        "meta": "030032c6f0fc80cf97b90ea461871ee22b0e272e30d9fcdb467bb31fdf1e9408",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SETUP_DIGESTS))
+def test_setup_files_keep_their_bytes(tmp_path, seed):
+    spec = small_spec(
+        seed,
+        extent=BBox(0, 0, 1920, 1920),
+        n_units=6,
+        n_poi_clusters=24,
+        poi_cluster_size_range=(3, 7),
+        n_scattered_pois=40,
+    )
+    paths = synth.write_scenario(synth.generate(spec), tmp_path)
+    digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
+    changed = sorted(k for k in digests if digests[k] != _SETUP_DIGESTS[seed][k])
+    assert not changed, f"seed {seed}: {', '.join(changed)} changed {_NUMPY}"
