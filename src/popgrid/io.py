@@ -10,7 +10,8 @@ non-negative, no nodata), are rasters built the same way.
 
 Coordinates are projected meters throughout. Files written by this module
 use shortest-exact float formatting, so a write/read cycle reproduces every
-value bit-for-bit. GeoJSON feature collections we emit carry a foreign
+value bit-for-bit; ``write_ascii_grid`` refuses a raster whose nodata cells
+would not read back as nodata and its data cells as data. GeoJSON feature collections we emit carry a foreign
 member ``"coordinate_units": "meters"``; readers reject collections whose
 ``crs``/``coordinate_units`` member declares a geographic (degree) system,
 and ``read_admin_units`` also rejects degree-like coordinates in a collection
@@ -27,7 +28,10 @@ any other body laid out one grid row per line, and the streamed reader every
 other body, with the same values and the same error messages. They are
 written in blocks of rows: a 0/1 grid without nodata as bytes, any other
 under one formatting rule per grid, each distinct value of a block formatted
-once. Every text input may start with a UTF-8 byte-order mark.
+once.
+
+Every input is read once, as bytes, by ``read_text``, and decoded as UTF-8
+before any parser sees it.
 
 Output files are written to temporary names beside their targets and moved
 into place together by ``staged``, so a failed command leaves none of them.
@@ -40,11 +44,13 @@ import errno
 import json
 import math
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from io import StringIO
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -224,37 +230,23 @@ class PopulationGrid(Raster):
 # ---------------------------------------------------------------------------
 
 
-def _not_utf8(path: str | Path) -> FormatError:
-    """The error for a file that does not decode as UTF-8, naming the first
-    offending byte and its offset."""
+def read_text(path: str | Path) -> str:
+    """The text of ``path``: its bytes, read once and decoded as UTF-8, less
+    one leading byte-order mark, with line ends as they are. A byte that is
+    not UTF-8 is a ``FormatError`` naming it and its offset from the file's
+    first byte."""
     data = Path(path).read_bytes()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
-        return FormatError(f"{path}: not UTF-8 text: byte {data[e.start]:#04x} at offset {e.start}")
-    return FormatError(f"{path}: not UTF-8 text")  # the file changed since the failed read
+        raise FormatError(f"{path}: not UTF-8 text: byte {data[e.start]:#04x} at offset {e.start}") from None
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of ``path``, without a leading byte-order mark; a byte
-    that is not UTF-8 is a ``FormatError``."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _utf8_lines(fh, path: str | Path):
-    """The lines of the text file ``fh`` opened on ``path``; a byte that is
-    not UTF-8 is a ``FormatError``."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _load_json(path: str | Path) -> dict:
-    text = read_text(path)
+def _json_object(text: str, path: str | Path) -> dict:
+    """The JSON object ``text`` read from ``path``; a parse error gives the
+    line and column it would in the file with CR and CRLF read as LF."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -392,7 +384,7 @@ def read_admin_units(path: str | Path, expected_level: AdminLevel | str = AdminL
     lon/lat ranges, in a collection declaring no meter units, are a
     ``ConfigurationError``.
     """
-    doc = _load_json(path)
+    doc = _json_object(read_text(path), path)
     _reject_geographic(doc, path)
     if not isinstance(expected_level, AdminLevel):
         expected_level = AdminLevel.parse(expected_level)
@@ -460,28 +452,19 @@ def _rings_to_coords(poly: Polygon) -> list[list[list[float]]]:
 def read_poi(path: str | Path) -> PoiSet:
     """Read POIs from GeoJSON (Point features) or CSV (header x,y,category).
 
-    The format is chosen by extension (.csv) with a content sniff fallback.
-    An empty collection or a header-only CSV yields an empty set.
+    A ``.csv`` file is CSV; any other is GeoJSON when its first non-blank
+    character is ``{``, else CSV. An empty collection or a header-only CSV
+    yields an empty set.
     """
-    p = Path(path)
-    if p.suffix.lower() == ".csv":
-        return _read_poi_csv(p)
-    try:
-        with open(p, encoding="utf-8-sig") as fh:
-            head = fh.read(200).lstrip()
-    except UnicodeDecodeError:
-        raise _not_utf8(p) from None
-    if head.startswith("{"):
-        return _read_poi_geojson(p)
-    return _read_poi_csv(p)
-
-
-def _read_poi_geojson(path: Path) -> PoiSet:
-    doc = _load_json(path)
-    _reject_geographic(doc, path)
-    feats = _features(doc, path)
-    pois = _poi_columns(feats)
-    return pois if pois is not None else _poi_features(feats, str(path))
+    text = read_text(path)
+    if Path(path).suffix.lower() != ".csv" and re.match(r"\s*\{", text):
+        doc = _json_object(text, path)
+        del text  # not held while the features are walked
+        _reject_geographic(doc, path)
+        feats = _features(doc, path)
+        pois = _poi_columns(feats)
+        return pois if pois is not None else _poi_features(feats, str(path))
+    return _poi_csv(text, path)
 
 
 def _poi_columns(feats: list) -> PoiSet | None:
@@ -533,35 +516,34 @@ def _poi_features(feats: list, name: str) -> PoiSet:
     return PoiSet(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), categories)
 
 
-def _read_poi_csv(path: Path) -> PoiSet:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+def _poi_csv(text: str, path: str | Path) -> PoiSet:
+    """The POIs of the CSV ``text`` read from ``path``, split into records as
+    a file opened with ``newline=""`` is."""
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        return PoiSet()
+    header = [h.strip().lower() for h in header]
+    if header[:2] != ["x", "y"]:
+        raise SchemaError(f"{path}: expected CSV header x,y[,category], got {header}")
+    has_category = len(header) > 2 and header[2] == "category"
+    name = str(path)  # formatted once, not once a row
+    xs, ys, categories = [], [], []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 2:
+            raise SchemaError(f"{path}: row {row_no}: expected at least x,y")
         try:
-            header = next(reader)
-        except StopIteration:
-            return PoiSet()
-        header = [h.strip().lower() for h in header]
-        if header[:2] != ["x", "y"]:
-            raise SchemaError(f"{path}: expected CSV header x,y[,category], got {header}")
-        has_category = len(header) > 2 and header[2] == "category"
-        name = str(path)  # formatted once, not once a row
-        xs, ys, categories = [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise SchemaError(f"{path}: row {row_no}: expected at least x,y")
-            try:
-                x = float(row[0])
-                y = float(row[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {row_no}: unparseable coordinate {row[:2]!r}"
-                ) from None
-            x, y = _finite_pair(x, y, f"{name}: row {row_no}")
-            xs.append(x)
-            ys.append(y)
-            categories.append(row[2].strip() if has_category and len(row) > 2 else "")
+            x = float(row[0])
+            y = float(row[1])
+        except ValueError:
+            raise ValidationError(f"{path}: row {row_no}: unparseable coordinate {row[:2]!r}") from None
+        x, y = _finite_pair(x, y, f"{name}: row {row_no}")
+        xs.append(x)
+        ys.append(y)
+        categories.append(row[2].strip() if has_category and len(row) > 2 else "")
     return PoiSet(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), categories)
 
 
@@ -763,9 +745,24 @@ def write_ascii_grid(raster: Raster, path: str | Path) -> None:
     filled as bytes ``_BIT_BLOCK`` cells at a time; any other goes out
     ``_WRITE_BLOCK`` cells at a time, each distinct value of a block
     formatted once. Both give the same text, and neither holds the file's.
+
+    A raster that would not read back as it is (a data cell equal to the
+    nodata value, or a nodata cell under a NaN one) is refused unwritten.
     """
     values = np.asarray(raster.values, dtype=np.float64)
     na = np.array([raster.nodata_value], dtype=np.float64)
+    (na_value,) = na.tolist()
+    if math.isnan(na_value):
+        lost = np.count_nonzero(raster.nodata)
+        fault = "nodata cell(s) under a NaN nodata value, which a read takes as data"
+    else:
+        lost = sum(
+            np.count_nonzero((block == na_value) & ~block_na)
+            for block, block_na in zip(_blocks(values, _RULE_BLOCK), _blocks(raster.nodata, _RULE_BLOCK))
+        )
+        fault = f"data cell(s) equal to its nodata value {na_value!r}, which a read takes as nodata"
+    if lost:
+        raise ValidationError(f"raster has {lost} {fault}")
     (na_token,) = _row_formatter(na)(na)
     bits = not raster.nodata.any() and _is_bits(values)
     with open(path, "w", encoding="utf-8") as fh:

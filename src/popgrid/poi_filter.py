@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ _PAIR_BLOCK = 2**16  # point pairs tested at once by PoiSet._pair_counts
 
 class PoiSet:
     """Immutable POI collection: read-only float64 arrays ``xs`` and ``ys``,
-    and one free-form category label per point (all "" when none are given),
+    and one free-form category ``str`` per point (all "" when none are given),
     with exact closed-disc radius queries: the single-center queries scan
     every point, ``buffer_counts`` and ``dense`` hash them."""
 
@@ -48,6 +49,9 @@ class PoiSet:
         self.categories: tuple[str, ...] = ("",) * len(self.xs) if categories is None else tuple(categories)
         if len(self.categories) != len(self.xs):
             raise ValidationError(f"{len(self.categories)} categories for {len(self.xs)} POIs")
+        if not all(map(isinstance, self.categories, repeat(str))):
+            i = next(i for i, c in enumerate(self.categories) if not isinstance(c, str))
+            raise ValidationError(f"POI #{i}: category must be a string, got {self.categories[i]!r}")
 
     def __len__(self) -> int:
         return len(self.xs)

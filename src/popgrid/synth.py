@@ -34,6 +34,7 @@ from .io import (
     BinaryRaster,
     PopulationGrid,
     Raster,
+    staged,
     write_admin_units,
     write_ascii_grid,
     write_poi_geojson,
@@ -328,7 +329,8 @@ def score(estimate: PopulationGrid, truth: GroundTruth) -> ScoreResult:
 
 
 def write_scenario(truth: GroundTruth, out_dir: str | Path) -> dict[str, str]:
-    """Write the scenario in the standard pipeline input formats."""
+    """Write the scenario in the standard pipeline input formats, through
+    ``io.staged``: all five files appear, ``scenario.json`` last, or none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -338,10 +340,6 @@ def write_scenario(truth: GroundTruth, out_dir: str | Path) -> dict[str, str]:
         "truth_tiles": out / "truth_tiles.asc",
         "meta": out / "scenario.json",
     }
-    write_admin_units(truth.units, paths["admin"])
-    write_poi_geojson(truth.pois, paths["poi"])
-    write_ascii_grid(truth.mask, paths["mask"])
-    write_ascii_grid(truth.tile_population(), paths["truth_tiles"])
     e = truth.spec.extent
     meta = {
         **asdict(truth.spec),
@@ -350,5 +348,10 @@ def write_scenario(truth: GroundTruth, out_dir: str | Path) -> dict[str, str]:
         "total_population": truth.total_population(),
         "n_pois": len(truth.pois),
     }
-    paths["meta"].write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    with staged(*paths.values()) as (admin, poi, mask, truth_tiles, meta_path):
+        write_admin_units(truth.units, admin)
+        write_poi_geojson(truth.pois, poi)
+        write_ascii_grid(truth.mask, mask)
+        write_ascii_grid(truth.tile_population(), truth_tiles)
+        meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return {k: str(v) for k, v in paths.items()}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -13,6 +16,35 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+_open_logs: list[list[Path]] = []  # the logs of the open ``opens`` blocks
+
+
+def _log_open(event: str, args: tuple) -> None:
+    if event == "open" and isinstance(args[0], str):
+        for log in _open_logs:
+            log.append(Path(args[0]))
+
+
+sys.addaudithook(_log_open)  # an audit hook cannot be removed, so it is added once
+
+
+@contextmanager
+def _opens() -> Iterator[list[Path]]:
+    log: list[Path] = []
+    _open_logs.append(log)
+    try:
+        yield log
+    finally:
+        _open_logs.remove(log)
+
+
+@pytest.fixture
+def opens():
+    """``with opens() as opened:`` lists, in ``opened``, every path the block
+    opens (for reading or writing), from the interpreter's "open" audit event."""
+    return _opens
 
 
 def random_convex_polygon(rng: np.random.Generator, n_min: int = 3, n_max: int = 10) -> Polygon:

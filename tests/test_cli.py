@@ -470,17 +470,10 @@ class TestRun:
         assert f"ERROR: ValidationError: {bad}: binary raster has 1 cells outside {{0, 1}} (e.g. 0.5)" in message
         assert "np.float64" not in message
 
-    def test_reads_admin_file_once(self, tmp_path, scenario, monkeypatch):
-        reads = []
-        read_text = Path.read_text
-
-        def counting_read_text(self, *args, **kwargs):
-            reads.append(Path(self))
-            return read_text(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_text", counting_read_text)
-        assert run_pipeline(scenario, tmp_path / "o") == 0
-        assert reads.count(Path(scenario["admin"])) == 1
+    def test_reads_admin_file_once(self, tmp_path, scenario, opens):
+        with opens() as opened:
+            assert run_pipeline(scenario, tmp_path / "o") == 0
+        assert opened.count(Path(scenario["admin"])) == 1
 
 
 class TestOutputsFailClosed:
@@ -709,6 +702,13 @@ class TestNonUtf8Input:
         with pytest.raises(errors.FormatError, match=rf"not UTF-8 text: byte 0xe9 at offset {len(head) + 7}$"):
             io.read_poi(bad)
 
+    def test_poi_csv_is_decoded_before_its_rows_are_read(self, tmp_path):
+        bad = tmp_path / "poi.csv"
+        head = "x,y,category\nabc,4,shop\n"  # row 1 is refused too, but the byte comes first
+        bad.write_bytes(head.encode() + b"9,9,caf\xe9\n")
+        with pytest.raises(errors.FormatError, match=rf"not UTF-8 text: byte 0xe9 at offset {len(head) + 7}$"):
+            io.read_poi(bad)
+
     def test_grid_header_byte(self, tmp_path, scenario):
         text = Path(scenario["mask"]).read_bytes()
         bad = tmp_path / "m.asc"
@@ -800,6 +800,52 @@ class TestByteOrderMark:
             reader = io.read_poi
         with pytest.raises(errors.FormatError, match=rf"not UTF-8 text: byte 0xff at offset {offset}$"):
             reader(bad)
+
+
+class TestEachInputOpenedOnce:
+    """Every command opens each of its input files once: a file's bytes are
+    read once and decoded once, whatever its format."""
+
+    @pytest.mark.parametrize(
+        "command, poi",
+        [
+            ("validate", "geojson"),
+            ("validate", "csv"),
+            ("run", "geojson"),
+            ("run", "csv"),
+            ("filter-poi", "geojson"),
+            ("filter-poi", "csv"),
+            ("zonal", None),
+            ("evaluate", None),
+            ("render", None),
+        ],
+    )
+    def test_each_input_is_opened_once(self, tmp_path, scenario, opens, command, poi):
+        result = tmp_path / "o"
+        assert run_pipeline(scenario, result) == 0
+        poi_path = scenario["poi"]
+        if poi == "csv":
+            poi_path = str(tmp_path / "poi.csv")
+            io.write_poi_csv(io.read_poi(scenario["poi"]), poi_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"level": "circle"}')
+        grid = ["--origin-x", "0", "--origin-y", "0", "--n-cols", "32", "--n-rows", "32"]
+        inputs = {
+            "validate": ["--admin", scenario["admin"], "--poi", poi_path, "--mask", scenario["mask"]],
+            "run": ["--config", str(config), "--admin", scenario["admin"], "--poi", poi_path,
+                    "--mask", scenario["mask"], *grid],
+            "filter-poi": ["--config", str(config), "--admin", scenario["admin"], "--poi", poi_path, *grid],
+            "zonal": ["--grid", str(result / "population.asc"), "--admin", scenario["admin"],
+                      "--built", str(result / "tile_mask.asc")],
+            "evaluate": ["--predicted", scenario["mask"], "--reference", str(result / "tile_mask.asc")],
+            "render": ["--grid", str(result / "population.asc")],
+        }[command]
+        out = [] if command in ("validate", "evaluate") else ["--out", str(tmp_path / f"out-{command}")]
+        with opens() as opened:
+            assert main([command, *inputs, *out]) == 0
+        paths = [Path(v) for v in inputs if Path(v).is_file()]
+        assert len(paths) == {"validate": 3, "run": 4, "filter-poi": 3, "zonal": 3, "evaluate": 2, "render": 1}[command]
+        assert {p: opened.count(p) for p in paths} == {p: 1 for p in paths}
 
 
 class TestFilterPoi:
@@ -1030,7 +1076,7 @@ class TestRender:
     def test_non_finite_data_cell_exits_two(self, tmp_path, capsys, bad):
         vals = np.array([[0.0, 1.0, -9999.0], [2.0, bad, 4.0]])
         p = tmp_path / "bad.asc"
-        io.write_ascii_grid(io.Raster(origin_x=0, origin_y=0, pixel_size=30.0, values=vals), p)
+        io.write_ascii_grid(io.Raster(origin_x=0, origin_y=0, pixel_size=30.0, values=vals, nodata=vals == -9999.0), p)
         out = tmp_path / "bad.pgm"
         assert main(["render", "--grid", str(p), "--out", str(out)]) == 2
         assert "ERROR: ValidationError: cannot render 1 non-finite data cells" in capsys.readouterr().err
@@ -1051,6 +1097,13 @@ class TestSynthCommand:
             assert rc == 0
         for name in ("admin.geojson", "poi.geojson", "mask.asc", "truth_tiles.asc", "scenario.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_a_blocked_output_leaves_no_new_file(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        (d / "truth_tiles.asc").mkdir(parents=True)
+        assert main(["synth", "--seed", "1", "--extent", "960", "--n-units", "3", "--out", str(d)]) == 2
+        assert f"ERROR: IsADirectoryError: [Errno 21] Is a directory: '{d / 'truth_tiles.asc'}'" in capsys.readouterr().err
+        assert os.listdir(d) == ["truth_tiles.asc"]
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -230,18 +230,25 @@ class TestReadAdminUnits:
                 assert ga.exterior == gb.exterior
                 assert ga.holes == gb.holes
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_parse_error_position_is_the_same_for_every_line_end(self, tmp_path, eol):
+        p = tmp_path / "a.geojson"
+        p.write_bytes(eol.join(['{"type": "FeatureCollection",', '"features": [', "],", "}"]).encode())
+        with pytest.raises(ParseError, match=r"\(line 4, column 1\)$") as info:
+            io.read_admin_units(p)
+        assert (info.value.line, info.value.column) == (4, 1)
+
 
 # POI coordinates and categories whose JSON text has a special case: signed
 # zero, the least subnormal, the largest float, integral floats past 2**53;
-# no category, quotes, backslashes, control characters, non-ASCII text and a
-# lone surrogate
+# an empty category, quotes, backslashes, control characters, non-ASCII text
+# and a lone surrogate
 _poi_coordinates = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
     st.integers(-(2**60), 2**60).map(float),
 )
 _poi_categories = st.one_of(
-    st.none(),
     st.text(max_size=6),
     st.sampled_from(["", '"', "\\", '\\"', "\x00\x1f\x7f\n\t", "caf\u00e9", "\u5e02\u573a", "\U0001f600", "\ud800"]),
 )
@@ -263,6 +270,13 @@ class TestReadPoi:
         p = tmp_path / "e.geojson"
         p.write_text('{"type": "FeatureCollection", "features": []}')
         assert len(io.read_poi(p)) == 0
+
+    @pytest.mark.parametrize("suffix", [".csv", ".txt"])
+    def test_csv_category_keeps_a_quoted_line_end(self, tmp_path, suffix):
+        p = tmp_path / ("p" + suffix)
+        io.write_poi_csv(PoiSet([1.0], [2.0], ["a\r\nb"]), p)
+        assert b'"a\r\nb"' in p.read_bytes()
+        assert io.read_poi(p).categories == ("a\r\nb",)
 
     def test_header_only_csv(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -341,7 +355,7 @@ class TestReadPoi:
             max_size=12,
         )
     )
-    @example(points=[(-0.0, 5e-324, ""), (1.7976931348623157e308, 3.0, None), (0.0, -2.0**53, '\\"\x00\u00e9\U0001f600')])
+    @example(points=[(-0.0, 5e-324, ""), (1.7976931348623157e308, 3.0, ""), (0.0, -2.0**53, '\\"\x00\u00e9\U0001f600')])
     @example(points=[])
     def test_geojson_writer_gives_the_bytes_of_json_dumps(self, tmp_path_factory, points):
         pois = PoiSet([x for x, _, _ in points], [y for _, y, _ in points], [c for _, _, c in points])
@@ -579,13 +593,51 @@ def grid_rasters(draw) -> io.Raster:
     )
 
 
+def write_or_refuse(raster: io.Raster, path: Path) -> bool:
+    """Write ``raster`` to ``path``; True when it is written. A raster with a
+    data cell equal to its (non-NaN) nodata value would not read back as it
+    is, so the writer must refuse it, naming the count, and leave no file."""
+    lost = np.count_nonzero(raster.values[~raster.nodata] == raster.nodata_value)
+    if not lost:
+        io.write_ascii_grid(raster, path)
+        return True
+    with pytest.raises(ValidationError, match=rf"^raster has {lost} data cell\(s\) equal to its nodata value "):
+        io.write_ascii_grid(raster, path)
+    assert not path.exists()
+    return False
+
+
 class TestAsciiGrid:
     @settings(max_examples=300, deadline=None)
     @given(raster=grid_rasters())
     def test_write_matches_per_cell_reference(self, tmp_path_factory, raster):
         p = tmp_path_factory.mktemp("grid") / "g.asc"
-        io.write_ascii_grid(raster, p)
-        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+        if write_or_refuse(raster, p):
+            assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "values, nodata, nodata_value, message",
+        [
+            ([[5.0, -9999.0]], None, -9999.0, "1 data cell(s) equal to its nodata value -9999.0, which a read takes as nodata"),
+            ([[0.0, -0.0, 1.0], [0.0, 2.0, 0.0]], [[0, 0, 0], [1, 0, 0]], 0.0,
+             "3 data cell(s) equal to its nodata value 0.0, which a read takes as nodata"),
+            ([[5.0, 1.0], [1.0, 1.0]], [[0, 1], [1, 1]], math.nan,
+             "3 nodata cell(s) under a NaN nodata value, which a read takes as data"),
+        ],
+        ids=["equal", "signed-zero", "nan"],
+    )
+    def test_refuses_a_raster_it_cannot_read_back(self, tmp_path, values, nodata, nodata_value, message):
+        raster = io.Raster(0.0, 0.0, 1.0, values, nodata, nodata_value)
+        with mock.patch.object(io, "_RULE_BLOCK", 2):  # one row a block
+            with pytest.raises(ValidationError, match=f"^raster has {re.escape(message)}$"):
+                io.write_ascii_grid(raster, tmp_path / "g.asc")
+        assert os.listdir(tmp_path) == []
+
+    def test_nan_nodata_value_without_a_nodata_cell_reads_back(self, tmp_path):
+        raster = io.Raster(0.0, 0.0, 1.0, [[5.0, math.nan]], None, math.nan)
+        io.write_ascii_grid(raster, tmp_path / "g.asc")
+        back = io.read_ascii_grid(tmp_path / "g.asc")
+        assert back.values.tobytes() == raster.values.tobytes() and not back.nodata.any()
 
     @settings(max_examples=200, deadline=None)
     @given(raster=grid_rasters())
@@ -1087,8 +1139,9 @@ class TestGridFastPaths:
         )
         p = tmp_path_factory.mktemp("grid") / "g.asc"
         with mock.patch.object(io, "_WRITE_BLOCK", block):
-            io.write_ascii_grid(raster, p)
-        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+            written = write_or_refuse(raster, p)
+        if written:
+            assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1109,8 +1162,9 @@ class TestGridFastPaths:
         )
         p = tmp_path_factory.mktemp("grid") / "g.asc"
         with mock.patch.object(io, "_BIT_BLOCK", block):
-            io.write_ascii_grid(raster, p)
-        assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
+            written = write_or_refuse(raster, p)
+        if written:
+            assert p.read_bytes() == reference_ascii_grid(raster).encode("utf-8")
 
     def test_city_mask_round_trips_as_bytes(self, tmp_path):
         spec = synth.ScenarioSpec(  # the benchmark's city at seed 0

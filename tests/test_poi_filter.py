@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -88,6 +89,11 @@ class TestPoiSet:
             PoiSet([0.0, 1.0], [0.0])
         with pytest.raises(ValidationError, match="1 categories for 2 POIs"):
             PoiSet([0.0, 1.0], [0.0, 1.0], ["shop"])
+
+    @pytest.mark.parametrize("bad", [3, None, ["a"], b"x"], ids=["int", "none", "list", "bytes"])
+    def test_refuses_a_category_that_is_not_a_str(self, bad):
+        with pytest.raises(ValidationError, match=rf"^POI #1: category must be a string, got {re.escape(repr(bad))}$"):
+            PoiSet([0.0, 1.0], [0.0, 1.0], ["shop", bad])
 
     def test_arrays_are_read_only_copies(self):
         xs = np.array([1.0, 2.0])

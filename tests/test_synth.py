@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -259,6 +261,25 @@ class TestWriteScenario:
         assert list(meta["grid"]) == ["origin_x", "origin_y", "n_cols", "n_rows", "tile_size"]
         assert meta["total_population"] == truth.total_population()
         assert meta["n_pois"] == len(truth.pois)
+
+    def test_a_write_that_fails_partway_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "s"
+        synth.write_scenario(synth.generate(small_spec(21)), out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_ascii_grid = synth.write_ascii_grid
+        grids = []
+
+        def fail_on_the_second_grid(raster, path):
+            grids.append(path)
+            if len(grids) == 2:  # admin.geojson, poi.geojson and mask.asc are written by now
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_ascii_grid(raster, path)
+
+        monkeypatch.setattr(synth, "write_ascii_grid", fail_on_the_second_grid)
+        with pytest.raises(OSError, match="No space left on device"):
+            synth.write_scenario(synth.generate(small_spec(22)), out)
+        assert len(grids) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_outputs_are_consumable(self, tmp_path):
         truth = synth.generate(small_spec(21))
