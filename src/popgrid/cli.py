@@ -130,6 +130,14 @@ def _read_grid(path: str, as_kind: Callable[[io.Raster], _Kind]) -> _Kind:
         raise ValidationError(f"{path}: {e}") from None
 
 
+def _zonal_grid(raster: io.Raster) -> io.PopulationGrid:
+    """A population grid whose tile area in km2, which zonal's densities
+    divide by, is a finite positive float."""
+    pop = io.population_grid_from_raster(raster)
+    evaluate.tile_area_km2(pop.grid)
+    return pop
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
@@ -302,7 +310,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_zonal(args: argparse.Namespace) -> int:
-    pop = _read_grid(args.grid, io.population_grid_from_raster)
+    pop = _read_grid(args.grid, _zonal_grid)
     units = io.read_admin_units(args.admin, expected_level=args.level)
     built = _read_grid(args.built, io.BinaryRaster.from_raster) if args.built else None
     rows = evaluate.zonal_stats(pop, units, built=built)

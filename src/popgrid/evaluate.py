@@ -7,12 +7,13 @@ coarsening a fine mask onto a tile grid is an explicit, thresholded step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ParameterError
+from .errors import AlignmentError, ParameterError, ValidationError
 from .geo import TileGrid, first_owners
 from .io import AdminUnit, BinaryRaster, PopulationGrid, Raster
 
@@ -23,6 +24,7 @@ __all__ = [
     "confusion",
     "metrics",
     "downsample_to_tiles",
+    "tile_area_km2",
     "zonal_stats",
 ]
 
@@ -134,6 +136,18 @@ def downsample_to_tiles(raster: Raster, grid: TileGrid, theta: float = 0.5) -> R
     return Raster.on(grid, values.reshape(grid.n_rows, grid.n_cols), nodata.reshape(grid.n_rows, grid.n_cols))
 
 
+def tile_area_km2(grid: TileGrid) -> float:
+    """The area of one tile in km2, refused (a ValidationError) unless it is
+    a finite positive float, as it is not for a 1e300 m or a 1e-300 m tile."""
+    try:
+        area = (grid.tile_size / 1000.0) ** 2
+    except OverflowError:
+        area = math.inf
+    if not 0.0 < area < math.inf:
+        raise ValidationError(f"a {grid.tile_size!r} m tile has an area of {area!r} km2, not a finite positive number")
+    return area
+
+
 @dataclass(frozen=True)
 class ZonalRow:
     unit_id: str
@@ -154,9 +168,11 @@ def zonal_stats(
     so the rows always total the grid's grand total. When ``built`` (a
     tile-resolution 0/1 raster, checked as a :class:`BinaryRaster`) is given
     it supplies built_tile_count; otherwise tiles with positive population
-    are counted as built.
+    are counted as built. A grid whose tile area is refused by
+    :func:`tile_area_km2` is refused before any work.
     """
     grid = pop.grid
+    tile_area = tile_area_km2(grid)
     flat_pop = pop.values.reshape(-1)
     if built is not None:
         if built.grid != grid:
@@ -165,12 +181,11 @@ def zonal_stats(
         built_flat = (built.values.reshape(-1) != 0) & ~built.nodata.reshape(-1)
     else:
         built_flat = flat_pop > 0
-    tile_area_km2 = (grid.tile_size / 1000.0) ** 2
     owner, _ = first_owners(grid, [u.geometry for u in units])
     order = np.argsort(owner, kind="stable")
     rest, *mine = np.split(order, np.searchsorted(owner[order], np.arange(len(units))))
-    rows = [_zonal_row(u.id, t, flat_pop, built_flat, tile_area_km2) for u, t in zip(units, mine)]
-    rows.append(_zonal_row(UNASSIGNED_ID, rest, flat_pop, built_flat, tile_area_km2))
+    rows = [_zonal_row(u.id, t, flat_pop, built_flat, tile_area) for u, t in zip(units, mine)]
+    rows.append(_zonal_row(UNASSIGNED_ID, rest, flat_pop, built_flat, tile_area))
     return rows
 
 

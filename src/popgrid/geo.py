@@ -15,11 +15,17 @@ checked with the ``as_real`` rule; ``Point`` views are built on demand.
 Two bulk membership kernels evaluate the scalar kernel's own expressions, so
 both agree bit-for-bit with the scalar functions:
 
-- the lattice kernel (``tile_centers_in_parts``, and so ``first_owners``),
-  which the pipeline uses for pixel and tile centers, works by scanline: each
-  edge's row crossings are expanded at once, a running parity along each row
-  counts the crossings right of each center, and on-edge is tested on the
-  cells of each edge's own bbox only;
+- the lattice kernel (``first_owners``, and ``tile_centers_in_parts`` for one
+  geometry), which the pipeline uses for pixel and tile centers, labels the
+  centers for every geometry in one pass over all ring edges at once. Each
+  edge's row crossings become columns ``searchsorted(xc, xi)``; sorted, a
+  ring's crossings on a row pair into the column spans ``[c_2k, c_2k+1)``
+  where its parity is odd, clipped to the geometry's bbox window. A sweep
+  over span ends combines each part's rings (weight ``K`` for the exterior,
+  more than the part has holes, and 1 for each hole, so a cell is held where
+  the sum is ``K``), after on-edge is tested on the cells of each edge's own
+  bbox only; a second sweep unites a geometry's parts. Cells are expanded
+  only where two or more geometries hold them, to find the first owner;
 - the point-set kernel (``points_in_polygon``), for arbitrary points, sorts
   them by y once and tests each edge on the points of its y-band.
 """
@@ -419,81 +425,111 @@ class TileGrid:
 _ON_EDGE_CHUNK = 1 << 16
 
 
-def _lattice_ring_hits(
-    rx: np.ndarray, ry: np.ndarray, xc: np.ndarray, yc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ring_hits` on every center of the lattice ``xc`` × ``yc`` (both
-    ascending): ``(inside, on_edge)`` as ``(len(yc), len(xc))`` bool arrays.
+def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The members of the ranges ``[lo[i], hi[i])`` in order, and the ``i`` of each."""
+    n = np.maximum(hi - lo, 0)
+    members = (lo - n.cumsum() + n).repeat(n)
+    members += np.arange(members.size)
+    return members, np.arange(n.size).repeat(n)
 
-    Each edge crosses rows ``[searchsorted(yc, min(y1, y2)), searchsorted(yc,
-    max(y1, y2)))``, the rows where ``(y1 > py) != (y2 > py)``; at each crossing
-    ``px < xi`` holds on the columns before ``searchsorted(xc, xi)``. On-edge is
-    tested on the cells of each edge's own bbox only."""
-    n_rows, n_cols = yc.size, xc.size
-    x2 = np.concatenate((rx[1:], rx[:1]))
-    y2 = np.concatenate((ry[1:], ry[:1]))
-    dx, dy = x2 - rx, y2 - ry
-    ylo, yhi = np.minimum(ry, y2), np.maximum(ry, y2)
+
+def _sweep(lo: np.ndarray, hi: np.ndarray, weights: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The disjoint intervals ``[a, b)``, ascending, on which the summed
+    ``weights`` of the intervals ``[lo, hi)`` covering them pass ``keep``."""
+    keys = np.concatenate((lo, hi))
+    order = keys.argsort()  # equal keys only bound empty intervals, so any order will do
+    keys = keys[order]
+    hit = keep(np.concatenate((weights, -weights))[order].cumsum()[:-1]) & (keys[1:] > keys[:-1])
+    return keys[:-1][hit], keys[1:][hit]
+
+
+def _member_spans(grid: TileGrid, geometries: Sequence[Sequence[Polygon]]) -> tuple[np.ndarray, np.ndarray]:
+    """The tile centers that each geometry holds within its bbox, as disjoint
+    ascending spans ``[lo, hi)`` of the keys ``(geometry * n_rows + row) *
+    (n_cols + 1) + column``: one pass over the edges of every ring, as the
+    module docstring describes."""
+    rings, ring_part, part_geom, hole = [], [], [], []
+    for g, parts in enumerate(geometries):
+        for part in parts:
+            ring_part += [len(part_geom)] * len(part.rings)
+            hole += [False] + [True] * (len(part.rings) - 1)
+            part_geom.append(g)
+            rings += part.rings
+    if not rings:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    with np.errstate(over="ignore"):  # a center past the float range is infinite, in no polygon
+        xc = grid.origin_x + (np.arange(grid.n_cols, dtype=np.int64) + 0.5) * grid.tile_size
+        yc = grid.origin_y + (np.arange(grid.n_rows, dtype=np.int64) + 0.5) * grid.tile_size
+    n_rows, width = grid.n_rows, grid.n_cols + 1
+    ring_part, part_geom, hole = np.array(ring_part), np.array(part_geom), np.array(hole)
+    sizes = np.array([xs.size for xs, _ in rings])
+    first = sizes.cumsum() - sizes
+    ring = np.arange(sizes.size).repeat(sizes)  # of each edge
+    x1, y1 = (np.concatenate([r[i] for r in rings]) for i in (0, 1))
+    following = np.arange(1, x1.size + 1)
+    following[first + sizes - 1] = first
+    x2, y2 = x1[following], y1[following]
+    dx, dy = x2 - x1, y2 - y1
+    ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
+    # each ring's window: the centers in the union of its geometry's exterior bboxes
+    g_first = np.flatnonzero(np.diff(part_geom, prepend=-1))
+    box = [f.reduceat(f.reduceat(v, first)[~hole], g_first)[part_geom[ring_part]]
+           for f in (np.minimum, np.maximum) for v in (x1, y1)]
+    c0, r0 = xc.searchsorted(box[0]), yc.searchsorted(box[1])
+    c1, r1 = xc.searchsorted(box[2], side="right"), yc.searchsorted(box[3], side="right")
+
     r_lo = yc.searchsorted(ylo)
-    span = yc.searchsorted(yhi) - r_lo
-    e = np.arange(rx.size).repeat(span)
-    rows = np.arange(e.size) + (r_lo - span.cumsum() + span).repeat(span)
-    py = yc[rows]
-    xi = rx[e] + ((py - ry[e]) / dy[e]) * dx[e]
-    # a ring crosses every row an even number of times, so the parity of the
-    # crossings at or left of each column, run over the flat row-major
-    # toggles, restarts at 0 on every row and counts those with px < xi
-    toggles = np.zeros(n_rows * (n_cols + 1), dtype=np.uint8)
-    np.bitwise_xor.at(toggles, rows * (n_cols + 1) + xc.searchsorted(xi), 1)
-    inside = np.bitwise_xor.accumulate(toggles).view(bool).reshape(n_rows, n_cols + 1)[:, :n_cols]
+    row, e = _runs(r_lo, yc.searchsorted(yhi))
+    xi = x1[e] + ((yc[row] - y1[e]) / dy[e]) * dx[e]
+    crossings = np.sort((ring[e] * n_rows + row) * width + xc.searchsorted(xi))
+    lo, hi = crossings[0::2], crossings[1::2]
+    span_ring, row = np.divmod(lo // width, n_rows)
+    lo = np.maximum(lo, lo - lo % width + c0[span_ring])
+    hi = np.minimum(hi, hi - hi % width + c1[span_ring])
+    kept = (lo < hi) & (row >= r0[span_ring]) & (row < r1[span_ring])
+    lo, hi, span_ring = lo[kept], hi[kept], span_ring[kept]
 
-    on_edge = np.zeros((n_rows, n_cols), dtype=bool)
-    c_lo = xc.searchsorted(np.minimum(rx, x2))
-    width = xc.searchsorted(np.maximum(rx, x2), side="right") - c_lo
-    cells = width * (yc.searchsorted(yhi, side="right") - r_lo)
+    c_lo = np.maximum(xc.searchsorted(np.minimum(x1, x2)), c0[ring])
+    c_n = np.minimum(xc.searchsorted(np.maximum(x1, x2), side="right"), c1[ring]) - c_lo
+    r_a = np.maximum(r_lo, r0[ring])
+    cells = np.maximum(c_n, 0) * np.maximum(np.minimum(yc.searchsorted(yhi, side="right"), r1[ring]) - r_a, 0)
     ends = cells.cumsum()
-    total = int(ends[-1])
-    for start in range(0, total, _ON_EDGE_CHUNK):
-        k = np.arange(start, min(start + _ON_EDGE_CHUNK, total))
+    on = [np.empty(0, np.int64)]
+    for start in range(0, int(ends[-1]), _ON_EDGE_CHUNK):
+        k = np.arange(start, min(start + _ON_EDGE_CHUNK, int(ends[-1])))
         e = ends.searchsorted(k, side="right")
-        row, col = np.divmod(k - ends[e] + cells[e], width[e])
-        row += r_lo[e]
-        col += c_lo[e]
-        cross = dx[e] * (yc[row] - ry[e]) - dy[e] * (xc[col] - rx[e])
-        zero = cross == 0.0
-        on_edge[row[zero], col[zero]] = True
-    return inside, on_edge
+        r, c = np.divmod(k - ends[e] + cells[e], c_n[e])
+        r += r_a[e]
+        c += c_lo[e]
+        zero = dx[e] * (yc[r] - y1[e]) - dy[e] * (xc[c] - x1[e]) == 0.0
+        on.append((ring[e[zero]] * n_rows + r[zero]) * width + c[zero])
+    on = np.unique(np.concatenate(on))
+    odd = (crossings.searchsorted(on, side="right") - crossings.searchsorted(on - on % width)) % 2 == 1
+    on_ring = on // width // n_rows
+    change = hole[on_ring] == odd  # an exterior's cells not yet covered, a hole's covered ones
+    on, on_ring = on[change], on_ring[change]
+
+    k = sizes.size  # more than any part's holes
+    shift = (ring_part - np.arange(k)) * (n_rows * width)
+    lo, hi = lo + shift[span_ring], hi + shift[span_ring]
+    if hole.any() or on.size:  # else each part is one exterior, whose spans are disjoint
+        on += shift[on_ring]
+        weights = np.concatenate((np.where(hole[span_ring], 1, k), np.where(hole[on_ring], -1, k)))
+        lo, hi = _sweep(np.concatenate((lo, on)), np.concatenate((hi, on + 1)), weights, lambda s: s == k)
+    if part_geom.size > len(geometries):  # the union of each geometry's parts
+        shift = (part_geom - np.arange(part_geom.size))[lo // width // n_rows] * (n_rows * width)
+        lo, hi = _sweep(lo + shift, hi + shift, np.ones_like(lo), lambda s: s > 0)
+    return lo, hi
 
 
 def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon], where=None) -> np.ndarray:
     """Flat indices (sorted, row-major) of tiles whose centers fall in any part,
     among the tiles marked by ``where`` (flat bool array) if it is given."""
-    box = parts_bbox(parts)
-    c0 = max(0, math.floor((box.min_x - grid.origin_x) / grid.tile_size) - 1)
-    c1 = min(grid.n_cols - 1, math.floor((box.max_x - grid.origin_x) / grid.tile_size) + 1)
-    r0 = max(0, math.floor((box.min_y - grid.origin_y) / grid.tile_size) - 1)
-    r1 = min(grid.n_rows - 1, math.floor((box.max_y - grid.origin_y) / grid.tile_size) + 1)
-    xc = grid.origin_x + (np.arange(c0, c1 + 1, dtype=np.int64) + 0.5) * grid.tile_size
-    yc = grid.origin_y + (np.arange(r0, r1 + 1, dtype=np.int64) + 0.5) * grid.tile_size
-    # centers ascend with the index, so those in the bbox form one sub-window
-    a, b = xc.searchsorted(box.min_x), xc.searchsorted(box.max_x, side="right")
-    c0, xc = c0 + int(a), xc[a:b]
-    a, b = yc.searchsorted(box.min_y), yc.searchsorted(box.max_y, side="right")
-    r0, yc = r0 + int(a), yc[a:b]
-    if xc.size == 0 or yc.size == 0:
-        return np.empty(0, dtype=np.int64)
-    hit = np.zeros((yc.size, xc.size), dtype=bool)
-    for part in parts:
-        inside, on_edge = _lattice_ring_hits(*part.rings[0], xc, yc)
-        inside |= on_edge
-        for hx, hy in part.rings[1:]:
-            h_in, h_on = _lattice_ring_hits(hx, hy, xc, yc)
-            inside &= ~h_in | h_on
-        hit |= inside
+    lo, hi = _member_spans(grid, [parts])
+    start = lo - lo // (grid.n_cols + 1)  # row * (n_cols + 1) + column, less the row
+    flat, _ = _runs(start, start + (hi - lo))
     if where is not None:
-        hit &= np.asarray(where).reshape(grid.n_rows, grid.n_cols)[r0 : r0 + yc.size, c0 : c0 + xc.size]
-    flat = np.flatnonzero(hit)  # row-major in the window: rebase onto the grid
-    flat += (flat // xc.size) * (grid.n_cols - xc.size) + (r0 * grid.n_cols + c0)
+        flat = flat[np.asarray(where).reshape(-1)[flat]]
     return flat
 
 
@@ -502,23 +538,41 @@ def first_owners(grid: TileGrid, geometries: Sequence[Sequence[Polygon]], where=
     center (-1 for none), and the overlaps: a ``(winner, loser, count)`` triple
     for each pair where ``count`` centers of geometry ``loser`` were already
     owned by the earlier ``winner``, in loser then winner order."""
-    owner = np.full(grid.n_tiles, -1, dtype=np.int32)
-    overlaps: list[tuple[int, int, int]] = []
-    for k, parts in enumerate(geometries):
-        hit = tile_centers_in_parts(grid, parts, where)
-        prior = owner[hit]
-        taken = prior != -1
-        if taken.any():
-            winners, counts = np.unique(prior[taken], return_counts=True)
-            overlaps += ((w, k, n) for w, n in zip(winners.tolist(), counts.tolist()))
-        owner[hit[~taken]] = k
-    return owner, overlaps
+    lo, hi = _member_spans(grid, geometries)
+    g, row = np.divmod(lo // (grid.n_cols + 1), grid.n_rows)
+    start = lo - (g * grid.n_rows * (grid.n_cols + 1) + row)  # row * n_cols + column
+    end = start + (hi - lo)
+    # each geometry adds g + 1 to its cells, so a cell that one geometry holds
+    # sums to its g + 1; the cells that more hold (a sum that may wrap) are set below
+    owner = np.zeros(grid.n_tiles + 1, dtype=np.int32)
+    label = (g + 1).astype(np.int32)  # as the array's dtype: ufunc.at is slow when it casts
+    np.add.at(owner, start, label)
+    np.subtract.at(owner, end, label)
+    owner = np.cumsum(owner, dtype=np.int32, out=owner)[:-1]
+    owner -= 1
+    u, v = _sweep(start, end, np.ones_like(start), lambda s: s > 1)
+    j, i = _runs(v.searchsorted(start, side="right"), u.searchsorted(end))
+    cell, k = _runs(np.maximum(start[i], u[j]), np.minimum(end[i], v[j]))
+    holder = g[i[k]]  # one (cell, geometry) pair for each geometry of a cell that more hold
+    if where is not None:
+        where = np.asarray(where, dtype=bool).reshape(-1)
+        owner[~where] = -1
+        cell, holder = cell[where[cell]], holder[where[cell]]
+    order = np.lexsort((holder, cell))
+    cell, holder = cell[order], holder[order]
+    first = np.diff(cell, prepend=-1) != 0
+    owner[cell[first]] = holder[first]
+    winner = holder[first][first.cumsum() - 1]
+    pairs, counts = np.unique(holder[~first] * len(geometries) + winner[~first], return_counts=True)
+    loser, won = np.divmod(pairs, len(geometries))
+    return owner, list(zip(won.tolist(), loser.tolist(), counts.tolist()))
 
 
 def representative_point(parts: Sequence[Polygon]) -> Point:
     """A deterministic point guaranteed to lie in the geometry.
 
-    Tries the largest part's centroid, then its bbox center, then a
+    Tries the largest part's centroid (unless it is not finite: its sums
+    overflow on coordinates near 1e150 m), then its bbox center, then a
     horizontal mid-scanline, then falls back to the first exterior vertex
     (which is on the boundary and therefore inside by the tie rule).
     """
@@ -526,12 +580,12 @@ def representative_point(parts: Sequence[Polygon]) -> Point:
     xs, ys = part.rings[0]
     x2 = np.roll(xs, -1)
     y2 = np.roll(ys, -1)
-    cross = xs * y2 - x2 * ys
-    a = float(np.sum(cross)) * 0.5
-    if a != 0.0:
-        cx = float(np.sum((xs + x2) * cross)) / (6.0 * a)
-        cy = float(np.sum((ys + y2) * cross)) / (6.0 * a)
-        candidate = Point(cx, cy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a centroid past the float range is skipped
+        cross = xs * y2 - x2 * ys
+        a = float(np.sum(cross)) * 0.5
+        sx, sy = float(np.sum((xs + x2) * cross)), float(np.sum((ys + y2) * cross))
+    if a != 0.0 and math.isfinite(sx / (6.0 * a)) and math.isfinite(sy / (6.0 * a)):
+        candidate = Point(sx / (6.0 * a), sy / (6.0 * a))
         if point_in_polygon(candidate, part):
             return candidate
     box = part.bbox

@@ -718,21 +718,23 @@ def _blocks(values: np.ndarray, cells: int) -> Iterator[np.ndarray]:
 
 def _row_formatter(values: np.ndarray):
     """The row formatter for a grid of ``values``: ``str`` of the int64 cast
-    when every value is an integer below 2**53 in magnitude, else
-    shortest-exact ``repr``. The rule is tested ``_RULE_BLOCK`` cells at a
-    time, so no whole-grid temporary exists."""
+    when every value is an integer below 2**53 in magnitude other than
+    ``-0.0`` (which it would write as ``0``), else shortest-exact ``repr``.
+    The rule is tested ``_RULE_BLOCK`` cells at a time, so no whole-grid
+    temporary exists."""
     for block in _blocks(values, _RULE_BLOCK):
         with np.errstate(invalid="ignore"):  # np.floor of a signaling NaN warns
             integral = (block == np.floor(block)) & (np.abs(block) < 2**53)  # false for inf and nan
+            integral &= (block != 0) | ~np.signbit(block)
         if not integral.all():
             return lambda row: map(repr, row.tolist())
     return lambda row: map(str, row.astype(np.int64).tolist())
 
 
 def _is_bits(values: np.ndarray) -> bool:
-    """Every value is 0 or 1 (``-0.0`` included), tested ``_RULE_BLOCK``
-    cells at a time."""
-    return all(((block == 0) | (block == 1)).all() for block in _blocks(values, _RULE_BLOCK))
+    """Every value is ``0.0`` or ``1.0`` (not ``-0.0``, which the ``repr``
+    rule writes), tested ``_RULE_BLOCK`` cells at a time."""
+    return all(((block == 1) | (block == 0) & ~np.signbit(block)).all() for block in _blocks(values, _RULE_BLOCK))
 
 
 def write_ascii_grid(raster: Raster, path: str | Path) -> None:
@@ -787,7 +789,7 @@ def write_ascii_grid(raster: Raster, path: str | Path) -> None:
 def _bits_block(block: np.ndarray) -> str:
     """The text of a block of 0/1 rows, filled as bytes: each cell a digit
     and a space, the last of a row a digit and a newline."""
-    cells = block.astype("<u2")  # 0.0, -0.0 and 1.0 cast to 0 and 1
+    cells = block.astype("<u2")  # 0.0 and 1.0 cast to 0 and 1
     cells[:, :-1] |= _ZERO_SPACE
     cells[:, -1] |= _ZERO_NEWLINE
     return cells.tobytes().decode("ascii")

@@ -642,6 +642,75 @@ class TestNonFiniteGrid:
         assert not any((tmp_path / name).exists() for name in ("h.pgm", "z.csv", "o"))
 
 
+def with_header(source: str, path: Path, key: str, value: str) -> None:
+    """Copy the grid at ``source`` to ``path`` with header ``key`` set to ``value``."""
+    lines = Path(source).read_text().splitlines(keepends=True)
+    (at,) = [i for i, line in enumerate(lines[:6]) if line.split()[0] == key]
+    lines[at] = f"{key} {value}\n"
+    path.write_text("".join(lines))
+
+
+class TestExtremeGeoreferencing:
+    """Grids placed at the edge of the float range, and admin coordinates
+    near 1e150 m, on a 4-unit city: each command exits 0, or 2 with a typed
+    error, and raises nothing."""
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory) -> dict:
+        s = tmp_path_factory.mktemp("small")
+        assert main(["synth", "--seed", "1", "--extent", "960", "--n-units", "4", "--out", str(s)]) == 0
+        return {name: str(s / f"{name}.{ext}") for name, ext in
+                (("admin", "geojson"), ("poi", "geojson"), ("mask", "asc"), ("truth_tiles", "asc"))}
+
+    @pytest.mark.parametrize(
+        "key, value, area",
+        [("XLLCORNER", "1e308", None), ("XLLCORNER", "-1e308", None), ("YLLCORNER", "1e300", None),
+         ("CELLSIZE", "1e-300", "0.0"), ("CELLSIZE", "1e-320", "0.0"), ("CELLSIZE", "1e300", "inf")],
+    )
+    def test_zonal_grid(self, tmp_path, small, capsys, key, value, area):
+        grid, csv_path = tmp_path / "g.asc", tmp_path / "z.csv"
+        with_header(small["truth_tiles"], grid, key, value)
+        rc = main(["zonal", "--grid", str(grid), "--admin", small["admin"], "--out", str(csv_path)])
+        err = capsys.readouterr().err
+        if area is None:  # the grid lies far from every unit: each tile is unassigned
+            assert rc == 0 and "WARNING" not in err
+            rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+            assert [row[2] for row in rows] == ["0"] * 4 + [str(32 * 32)]
+        else:
+            assert rc == 2
+            message = f"a {float(value)!r} m tile has an area of {area} km2, not a finite positive number"
+            assert f"ERROR: ValidationError: {grid}: {message}" in err
+            assert not csv_path.exists()
+
+    @pytest.mark.parametrize("value", ["1e-300", "1e-320"])
+    def test_run_on_a_mask_of_tiny_pixels(self, tmp_path, small, capsys, value):
+        mask = tmp_path / "m.asc"
+        with_header(small["mask"], mask, "CELLSIZE", value)
+        argv = ["run", "--admin", small["admin"], "--poi", small["poi"], "--mask", str(mask), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--json"]) == 0
+        assert "WARNING" not in capsys.readouterr().err
+        totals = json.loads((tmp_path / "o" / "report.json").read_text())["totals"]
+        assert totals["population_out"] == pytest.approx(totals["population_in"], rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["validate", "run", "zonal"])
+    def test_admin_coordinates_near_1e150(self, tmp_path, small, capsys, command):
+        collection = json.loads(Path(small["admin"]).read_text())
+        for feature in collection["features"]:
+            rings = feature["geometry"]["coordinates"]
+            feature["geometry"]["coordinates"] = [[[x * 1e150, y * 1e150] for x, y in ring] for ring in rings]
+        admin = tmp_path / "big.geojson"
+        admin.write_text(json.dumps(collection))
+        argv = {
+            "validate": ["validate", "--admin", str(admin)],
+            "run": ["run", "--admin", str(admin), "--poi", small["poi"], "--mask", small["mask"],
+                    "--out", str(tmp_path / "o"), "--origin-x", "0", "--origin-y", "0", "--n-cols", "32", "--n-rows", "32"],
+            "zonal": ["zonal", "--grid", small["truth_tiles"], "--admin", str(admin), "--out", str(tmp_path / "z.csv")],
+        }[command]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "WARNING" not in captured.out + captured.err
+
+
 def append_byte(path: Path, source: str, byte: bytes = b"\xff") -> int:
     """Copy ``source`` to ``path`` with ``byte`` appended; return its offset."""
     data = Path(source).read_bytes()

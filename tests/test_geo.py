@@ -378,6 +378,8 @@ class TestTileGrid:
 
 
 class TestTileCentersInParts:
+    grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=8, n_rows=6, tile_size=1.0)
+
     def test_rectangle_cover(self):
         grid = TileGrid(origin_x=0, origin_y=0, n_cols=8, n_rows=8, tile_size=30.0)
         unit = [rectangle(30, 30, 120, 90)]
@@ -408,12 +410,9 @@ class TestTileCentersInParts:
         ]
         assert tile_centers_in_parts(grid, parts, where).tolist() == expect
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_first_owners_equals_a_nested_loop(self, data):
-        size = data.draw(st.sampled_from([7.5, 15.0, 30.0]))
-        grid, units = data.draw(lattice_units(size, data.draw(st.integers(2, 4))))
-        where = random_where(data.draw, grid)
+    @staticmethod
+    def nested_loop(grid, units, where=None):
+        """What ``first_owners`` gives, from the scalar kernel on every center."""
         owner = np.full(grid.n_tiles, -1)
         pairs: dict[tuple[int, int], int] = {}
         for r in range(grid.n_rows):
@@ -425,9 +424,54 @@ class TestTileCentersInParts:
                     owner[r * grid.n_cols + c] = holders[0]
                 for k in holders[1:]:
                     pairs[holders[0], k] = pairs.get((holders[0], k), 0) + 1
+        return owner.tolist(), sorted(((w, k, n) for (w, k), n in pairs.items()), key=lambda t: (t[1], t[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_first_owners_equals_a_nested_loop(self, data):
+        # up to 12 units, so that many units' spans abut and overlap on one row
+        size = data.draw(st.sampled_from([7.5, 15.0, 30.0]))
+        grid, units = data.draw(lattice_units(size, data.draw(st.integers(2, 12))))
+        where = random_where(data.draw, grid)
         got, overlaps = first_owners(grid, units, where)
-        assert got.tolist() == owner.tolist()
-        assert overlaps == sorted(((w, k, n) for (w, k), n in pairs.items()), key=lambda t: (t[1], t[0]))
+        assert (got.tolist(), overlaps) == self.nested_loop(grid, units, where)
+
+    @pytest.mark.parametrize("far", [(100, 1, 102, 3), (1, 100, 3, 102), (-9, -9, -7, -7), (1e300, 1, 2e300, 3)])
+    def test_a_geometry_whose_bbox_misses_the_grid(self, far):
+        units = [[rectangle(*far)], [rectangle(0.5, 0.5, 3.5, 2.5)], [rectangle(*far), rectangle(2.5, 1.5, 6.5, 4.5)]]
+        got, overlaps = first_owners(self.grid, units)
+        assert (got.tolist(), overlaps) == self.nested_loop(self.grid, units)
+        assert overlaps == [(1, 2, 4)]  # (2.5, 1.5), (3.5, 1.5), (2.5, 2.5) and (3.5, 2.5)
+        assert tile_centers_in_parts(self.grid, units[0]).size == 0
+
+    def test_a_shared_edge_through_centers_is_held_by_both(self):
+        # x = 3.5 runs through the centers (3.5, 0.5) ... (3.5, 5.5): the
+        # exterior boundary belongs to the polygon, so both units hold them
+        units = [[rectangle(0.5, 0.5, 3.5, 4.5)], [rectangle(3.5, 1.5, 7.5, 5.5)]]
+        got, overlaps = first_owners(self.grid, units)
+        assert (got.tolist(), overlaps) == self.nested_loop(self.grid, units)
+        assert overlaps == [(0, 1, 4)]  # (3.5, 1.5) to (3.5, 4.5)
+
+    def test_a_hole_lying_outside_its_exterior(self):
+        poly = Polygon(
+            exterior=[(0.5, 0.5), (4.5, 0.5), (4.5, 4.5), (0.5, 4.5)],
+            holes=[[(3.5, 1.5), (9.5, 1.5), (9.5, 3.5), (3.5, 3.5)]],  # its east end lies outside
+        )
+        units = [[poly], [rectangle(5.5, 0.5, 7.5, 4.5)]]
+        got, overlaps = first_owners(self.grid, units)
+        assert (got.tolist(), overlaps) == self.nested_loop(self.grid, units)
+        expect = [r * 8 + c for r in range(6) for c in range(8) if point_in_polygon(self.grid.tile_center(c, r), poly)]
+        assert tile_centers_in_parts(self.grid, [poly]).tolist() == expect
+        assert 2 * 8 + 3 in expect and 2 * 8 + 4 not in expect  # on the hole's edge, in its open interior
+
+    def test_where_masking_every_cell_of_one_unit(self):
+        units = [[rectangle(0.5, 0.5, 3.5, 3.5)], [rectangle(2.5, 2.5, 5.5, 5.5)], [rectangle(1.5, 1.5, 6.5, 2.5)]]
+        where = np.ones(self.grid.n_tiles, dtype=bool)
+        where[tile_centers_in_parts(self.grid, units[0])] = False
+        got, overlaps = first_owners(self.grid, units, where)
+        assert (got.tolist(), overlaps) == self.nested_loop(self.grid, units, where)
+        assert 0 not in got.tolist()
+        assert overlaps == [(1, 2, 2)]  # (4.5, 2.5) and (5.5, 2.5): those in unit 0 were masked with it
 
     def test_a_crossing_that_rounds_onto_a_center_off_the_edge(self):
         # the west edge crosses row y = 0.5 at xi == 1.5 exactly, yet the
@@ -440,6 +484,20 @@ class TestTileCentersInParts:
         expect = [r * 7 + c for r in range(4) for c in range(7) if point_in_polygon(grid.tile_center(c, r), poly)]
         assert 2 * 7 + 1 in expect
         assert tile_centers_in_parts(grid, [poly]).tolist() == expect
+
+    def test_a_crossing_that_rounds_left_of_the_bbox_is_clipped_to_it(self):
+        # at y = 1.125 the edge from (2**53 + 2, 2) to (2.5, 1.125) crosses at
+        # xi == 2.0, since x2 - x1 rounds to -2**53: the scalar kernel then
+        # holds (2.125, 1.125) and (2.375, 1.125), left of the bbox; the
+        # lattice kernel labels only centers in the geometry's bbox
+        far = 2.0**53 + 2
+        tri = Polygon(exterior=[(far, 2.0), (2.5, 1.125), (far, 0.0)])
+        grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=16, n_rows=12, tile_size=0.25)
+        assert point_in_polygon(Point(2.125, 1.125), tri) and point_in_polygon(Point(2.375, 1.125), tri)
+        row = [i % 16 for i in tile_centers_in_parts(grid, [tri]).tolist() if i // 16 == 4]
+        assert row == list(range(10, 16))  # x from 2.625, the first center right of min_x = 2.5
+        got, _ = first_owners(grid, [[tri]])
+        assert np.flatnonzero(got == 0).tolist() == tile_centers_in_parts(grid, [tri]).tolist()
 
     def test_on_edge_temporaries_are_chunked(self):
         # a star of 360 long diagonal edges: their bboxes hold about 11M cells
@@ -475,6 +533,11 @@ class TestRepresentativePoint:
         )
         rp = representative_point([c_shape])
         assert point_in_polygon(rp, c_shape)
+
+    def test_a_centroid_past_the_float_range_is_skipped(self):
+        # the centroid's sums overflow, so the bbox center is taken, with no RuntimeWarning
+        square = rectangle(0.0, 0.0, 9e153, 9e153)
+        assert representative_point([square]) == Point(4.5e153, 4.5e153)
 
     def test_polygon_with_central_hole(self):
         poly = Polygon(
