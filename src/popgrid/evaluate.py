@@ -169,7 +169,9 @@ def zonal_stats(
     tile-resolution 0/1 raster, checked as a :class:`BinaryRaster`) is given
     it supplies built_tile_count; otherwise tiles with positive population
     are counted as built. A grid whose tile area is refused by
-    :func:`tile_area_km2` is refused before any work.
+    :func:`tile_area_km2` is refused before any work, and a unit whose mean
+    density is not finite (its population over a tiny tile area overflows)
+    is a ValidationError naming the unit and the tile area.
     """
     grid = pop.grid
     tile_area = tile_area_km2(grid)
@@ -199,6 +201,11 @@ def _zonal_row(
     pop_sum = float(flat_pop[tiles].sum())
     count = int(tiles.size)
     density = pop_sum / (count * tile_area_km2) if count else 0.0
+    if not math.isfinite(density):
+        raise ValidationError(
+            f"unit {unit_id!r}: {pop_sum!r} persons on {count} tiles of {tile_area_km2!r} km2 "
+            f"give a mean density of {density!r} per km2, not a finite number"
+        )
     return ZonalRow(
         unit_id=unit_id,
         population_sum=pop_sum,

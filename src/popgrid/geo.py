@@ -12,20 +12,21 @@ the closed exterior minus the open interiors of its holes).
 A polygon holds each ring once, as read-only float64 ``(xs, ys)`` arrays
 checked with the ``as_real`` rule; ``Point`` views are built on demand.
 
-Two bulk membership kernels evaluate the scalar kernel's own expressions, so
-both agree bit-for-bit with the scalar functions:
+Every kernel tests an edge with the same two expressions, ``_crossing_x``
+and ``_side``, so the two bulk membership kernels agree bit-for-bit with the
+scalar functions:
 
 - the lattice kernel (``first_owners``, and ``tile_centers_in_parts`` for one
   geometry), which the pipeline uses for pixel and tile centers, labels the
   centers for every geometry in one pass over all ring edges at once. Each
   edge's row crossings become columns ``searchsorted(xc, xi)``; sorted, a
   ring's crossings on a row pair into the column spans ``[c_2k, c_2k+1)``
-  where its parity is odd, clipped to the geometry's bbox window. A sweep
-  over span ends combines each part's rings (weight ``K`` for the exterior,
-  more than the part has holes, and 1 for each hole, so a cell is held where
-  the sum is ``K``), after on-edge is tested on the cells of each edge's own
-  bbox only; a second sweep unites a geometry's parts. Cells are expanded
-  only where two or more geometries hold them, to find the first owner;
+  where its parity is odd. A sweep over span ends combines each part's rings
+  (weight ``K`` for the exterior, more than the part has holes, and 1 for
+  each hole, so a cell is held where the sum is ``K``), after on-edge is
+  tested on the cells of each edge's own bbox only; a second sweep unites a
+  geometry's parts. Cells are expanded only where two or more geometries
+  hold them, to find the first owner;
 - the point-set kernel (``points_in_polygon``), for arbitrary points, sorts
   them by y once and tests each edge on the points of its y-band.
 """
@@ -248,6 +249,16 @@ def rectangle(min_x: float, min_y: float, max_x: float, max_y: float) -> Polygon
     )
 
 
+def _crossing_x(x1, y1, dx, dy, py):
+    """The x where the edge from ``(x1, y1)`` by ``(dx, dy)`` crosses the line ``y = py``."""
+    return x1 + ((py - y1) / dy) * dx
+
+
+def _side(x1, y1, dx, dy, px, py):
+    """Zero where ``(px, py)`` lies on the line through the edge from ``(x1, y1)`` by ``(dx, dy)``."""
+    return dx * (py - y1) - dy * (px - x1)
+
+
 def _ring_hits(rx: np.ndarray, ry: np.ndarray, px: float, py: float) -> tuple[bool, bool]:
     """Even-odd crossing parity and on-boundary flag for one ring (scalar)."""
     inside = False
@@ -259,18 +270,14 @@ def _ring_hits(rx: np.ndarray, ry: np.ndarray, px: float, py: float) -> tuple[bo
         j = i + 1 if i + 1 < n else 0
         x2 = rx[j]
         y2 = ry[j]
-        cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
         if (
-            cross == 0.0
+            _side(x1, y1, x2 - x1, y2 - y1, px, py) == 0.0
             and min(x1, x2) <= px <= max(x1, x2)
             and min(y1, y2) <= py <= max(y1, y2)
         ):
             on_edge = True
-        if (y1 > py) != (y2 > py):
-            t = (py - y1) / (y2 - y1)
-            xi = x1 + t * (x2 - x1)
-            if px < xi:
-                inside = not inside
+        if (y1 > py) != (y2 > py) and px < _crossing_x(x1, y1, x2 - x1, y2 - y1, py):
+            inside = not inside
     return inside, on_edge
 
 
@@ -291,11 +298,9 @@ def _ring_hits_bulk(
         if a == b:
             continue
         px = pxs[a:b]
-        cross = (x2 - x1) * (pys[a:b] - y1) - (y2 - y1) * (px - x1)
-        on_edge[a:b] |= (cross == 0.0) & (min(x1, x2) <= px) & (px <= max(x1, x2))
-        t = (pys[a:m] - y1) / (y2 - y1)
-        xi = x1 + t * (x2 - x1)
-        inside[a:m] ^= pxs[a:m] < xi
+        dx, dy = x2 - x1, y2 - y1
+        on_edge[a:b] |= (_side(x1, y1, dx, dy, px, pys[a:b]) == 0.0) & (min(x1, x2) <= px) & (px <= max(x1, x2))
+        inside[a:m] ^= pxs[a:m] < _crossing_x(x1, y1, dx, dy, pys[a:m])
     return inside, on_edge
 
 
@@ -444,10 +449,10 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, weights: np.ndarray, keep) -> tuple[n
 
 
 def _member_spans(grid: TileGrid, geometries: Sequence[Sequence[Polygon]]) -> tuple[np.ndarray, np.ndarray]:
-    """The tile centers that each geometry holds within its bbox, as disjoint
-    ascending spans ``[lo, hi)`` of the keys ``(geometry * n_rows + row) *
-    (n_cols + 1) + column``: one pass over the edges of every ring, as the
-    module docstring describes."""
+    """The tile centers that each geometry holds, as disjoint ascending spans
+    ``[lo, hi)`` of the keys ``(geometry * n_rows + row) * (n_cols + 1) +
+    column``: one pass over the edges of every ring, as the module docstring
+    describes."""
     rings, ring_part, part_geom, hole = [], [], [], []
     for g, parts in enumerate(geometries):
         for part in parts:
@@ -471,37 +476,25 @@ def _member_spans(grid: TileGrid, geometries: Sequence[Sequence[Polygon]]) -> tu
     x2, y2 = x1[following], y1[following]
     dx, dy = x2 - x1, y2 - y1
     ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
-    # each ring's window: the centers in the union of its geometry's exterior bboxes
-    g_first = np.flatnonzero(np.diff(part_geom, prepend=-1))
-    box = [f.reduceat(f.reduceat(v, first)[~hole], g_first)[part_geom[ring_part]]
-           for f in (np.minimum, np.maximum) for v in (x1, y1)]
-    c0, r0 = xc.searchsorted(box[0]), yc.searchsorted(box[1])
-    c1, r1 = xc.searchsorted(box[2], side="right"), yc.searchsorted(box[3], side="right")
-
     r_lo = yc.searchsorted(ylo)
     row, e = _runs(r_lo, yc.searchsorted(yhi))
-    xi = x1[e] + ((yc[row] - y1[e]) / dy[e]) * dx[e]
+    xi = _crossing_x(x1[e], y1[e], dx[e], dy[e], yc[row])
     crossings = np.sort((ring[e] * n_rows + row) * width + xc.searchsorted(xi))
     lo, hi = crossings[0::2], crossings[1::2]
-    span_ring, row = np.divmod(lo // width, n_rows)
-    lo = np.maximum(lo, lo - lo % width + c0[span_ring])
-    hi = np.minimum(hi, hi - hi % width + c1[span_ring])
-    kept = (lo < hi) & (row >= r0[span_ring]) & (row < r1[span_ring])
-    lo, hi, span_ring = lo[kept], hi[kept], span_ring[kept]
+    span_ring = lo // width // n_rows
 
-    c_lo = np.maximum(xc.searchsorted(np.minimum(x1, x2)), c0[ring])
-    c_n = np.minimum(xc.searchsorted(np.maximum(x1, x2), side="right"), c1[ring]) - c_lo
-    r_a = np.maximum(r_lo, r0[ring])
-    cells = np.maximum(c_n, 0) * np.maximum(np.minimum(yc.searchsorted(yhi, side="right"), r1[ring]) - r_a, 0)
+    c_lo = xc.searchsorted(np.minimum(x1, x2))
+    c_n = xc.searchsorted(np.maximum(x1, x2), side="right") - c_lo
+    cells = c_n * (yc.searchsorted(yhi, side="right") - r_lo)
     ends = cells.cumsum()
     on = [np.empty(0, np.int64)]
     for start in range(0, int(ends[-1]), _ON_EDGE_CHUNK):
         k = np.arange(start, min(start + _ON_EDGE_CHUNK, int(ends[-1])))
         e = ends.searchsorted(k, side="right")
         r, c = np.divmod(k - ends[e] + cells[e], c_n[e])
-        r += r_a[e]
+        r += r_lo[e]
         c += c_lo[e]
-        zero = dx[e] * (yc[r] - y1[e]) - dy[e] * (xc[c] - x1[e]) == 0.0
+        zero = _side(x1[e], y1[e], dx[e], dy[e], xc[c], yc[r]) == 0.0
         on.append((ring[e[zero]] * n_rows + r[zero]) * width + c[zero])
     on = np.unique(np.concatenate(on))
     odd = (crossings.searchsorted(on, side="right") - crossings.searchsorted(on - on % width)) % 2 == 1
@@ -522,15 +515,11 @@ def _member_spans(grid: TileGrid, geometries: Sequence[Sequence[Polygon]]) -> tu
     return lo, hi
 
 
-def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon], where=None) -> np.ndarray:
-    """Flat indices (sorted, row-major) of tiles whose centers fall in any part,
-    among the tiles marked by ``where`` (flat bool array) if it is given."""
+def tile_centers_in_parts(grid: TileGrid, parts: Sequence[Polygon]) -> np.ndarray:
+    """Flat indices (sorted, row-major) of tiles whose centers fall in any part."""
     lo, hi = _member_spans(grid, [parts])
     start = lo - lo // (grid.n_cols + 1)  # row * (n_cols + 1) + column, less the row
-    flat, _ = _runs(start, start + (hi - lo))
-    if where is not None:
-        flat = flat[np.asarray(where).reshape(-1)[flat]]
-    return flat
+    return _runs(start, start + (hi - lo))[0]
 
 
 def first_owners(grid: TileGrid, geometries: Sequence[Sequence[Polygon]], where=None):
@@ -593,17 +582,10 @@ def representative_point(parts: Sequence[Polygon]) -> Point:
     if point_in_polygon(candidate, part):
         return candidate
     mid_y = (box.min_y + box.max_y) / 2.0
-    crossings = []
-    n = xs.shape[0]
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        y1, y2v = ys[i], ys[j]
-        if (y1 > mid_y) != (y2v > mid_y):
-            t = (mid_y - y1) / (y2v - y1)
-            crossings.append(xs[i] + t * (xs[j] - xs[i]))
-    crossings.sort()
-    for k in range(0, len(crossings) - 1, 2):
-        candidate = Point((crossings[k] + crossings[k + 1]) / 2.0, mid_y)
+    i = np.flatnonzero((ys > mid_y) != (y2 > mid_y))
+    crossings = np.sort(_crossing_x(xs[i], ys[i], x2[i] - xs[i], y2[i] - ys[i], mid_y)).tolist()
+    for a, b in zip(crossings[0::2], crossings[1::2]):
+        candidate = Point((a + b) / 2.0, mid_y)
         if point_in_polygon(candidate, part):
             return candidate
     return Point(float(xs[0]), float(ys[0]))

@@ -50,7 +50,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from io import StringIO
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -518,8 +517,9 @@ def _poi_features(feats: list, name: str) -> PoiSet:
 
 def _poi_csv(text: str, path: str | Path) -> PoiSet:
     """The POIs of the CSV ``text`` read from ``path``, split into records as
-    a file opened with ``newline=""`` is."""
-    reader = csv.reader(StringIO(text, newline=""))
+    a file opened with ``newline=""`` is: lines end at ``\r\n``, ``\r`` or
+    ``\n`` and keep their ends, and are taken one at a time, not copied."""
+    reader = csv.reader(m.group() for m in re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z", text))
     try:
         header = next(reader)
     except StopIteration:

@@ -682,6 +682,18 @@ class TestExtremeGeoreferencing:
             assert f"ERROR: ValidationError: {grid}: {message}" in err
             assert not csv_path.exists()
 
+    def test_zonal_refuses_a_density_past_the_float_range(self, tmp_path, small, capsys):
+        # 1e-155 m tiles have a subnormal area of 1e-316 km2, which is finite
+        # and positive, but u000's population over it overflows to inf
+        grid, csv_path = tmp_path / "g.asc", tmp_path / "z.csv"
+        with_header(small["truth_tiles"], grid, "CELLSIZE", "1e-155")
+        rc = main(["zonal", "--grid", str(grid), "--admin", small["admin"], "--out", str(csv_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "ERROR: ValidationError: unit 'u000': " in err
+        assert "tiles of 1e-316 km2 give a mean density of inf per km2, not a finite number" in err
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("value", ["1e-300", "1e-320"])
     def test_run_on_a_mask_of_tiny_pixels(self, tmp_path, small, capsys, value):
         mask = tmp_path / "m.asc"
@@ -1018,6 +1030,121 @@ class TestEvaluate:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["accuracy"] == 1.0
+
+
+def feature_collection(*features) -> dict:
+    return {"type": "FeatureCollection", "coordinate_units": "meters", "features": list(features)}
+
+
+SQUARE = {"type": "Polygon", "coordinates": [[[0.0, 0.0], [90.0, 0.0], [90.0, 90.0], [0.0, 90.0], [0.0, 0.0]]]}
+UNIT_PROPS = {"id": "a", "level": "circle", "population": 10}
+
+
+class TestSeldomTakenPaths:
+    """Paths of the CLI and of its readers that the tests above do not take:
+    each asserts the exit code, and the typed error name where there is one."""
+
+    def test_overlapping_units_complete_with_a_warning(self, tmp_path, scenario, capsys):
+        doc = json.loads(Path(scenario["admin"]).read_text())
+        doc["features"].append({**doc["features"][0], "properties": {**doc["features"][0]["properties"], "id": "dup"}})
+        admin = tmp_path / "dup.geojson"
+        admin.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_pipeline({**scenario, "admin": str(admin)}, out) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^WARNING: \d+ built pixels fall in more than one admin unit; .*'u000' over 'dup'", err, re.M)
+        assert sorted(p.name for p in out.iterdir()) == ["population.asc", "report.json", "tile_mask.asc"]
+
+    def test_json_error_object(self, tmp_path, scenario, capsys):
+        argv = ["zonal", "--grid", scenario["truth"], "--admin", str(tmp_path / "nope.geojson"),
+                "--out", str(tmp_path / "z.csv"), "--json"]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["error"]) == ("error", "FileNotFoundError")
+        assert "nope.geojson" in payload["message"]
+
+    def test_config_file_that_is_not_json(self, tmp_path, scenario, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{poi_radius: 5}")
+        out = tmp_path / "o"
+        assert run_pipeline(scenario, out, "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert f"ERROR: ConfigurationError: {cfg_path}: invalid JSON config (Expecting property name" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--poi", "--out"])
+    def test_filter_poi_needs_poi_and_out(self, tmp_path, scenario, capsys, given):
+        value = {"--poi": scenario["poi"], "--out": str(tmp_path / "m.asc")}[given]
+        assert main(["filter-poi", given, value]) == 2
+        assert "ERROR: ConfigurationError: filter-poi needs --poi and --out" in capsys.readouterr().err
+        assert not (tmp_path / "m.asc").exists()
+
+    def test_evaluate_a_finer_prediction_that_does_not_nest(self, tmp_path, capsys):
+        fine, coarse = tmp_path / "fine.asc", tmp_path / "coarse.asc"
+        io.write_ascii_grid(io.Raster(0.0, 0.0, 15.0, np.ones((4, 4))), fine)
+        io.write_ascii_grid(io.Raster(7.0, 0.0, 30.0, np.ones((2, 2))), coarse)
+        assert main(["evaluate", "--predicted", str(fine), "--reference", str(coarse)]) == 2
+        assert "ERROR: AlignmentError: predicted raster cannot be downsampled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "role, doc, message",
+        [
+            ("admin", [], "top-level JSON value must be an object"),
+            ("admin", feature_collection(5), "feature #0 is not an object"),
+            ("poi", feature_collection(5), "feature #0 is not an object"),
+            ("admin", feature_collection({"type": "Feature", "properties": UNIT_PROPS}),
+             "feature 'a': feature has no geometry object"),
+            ("admin", feature_collection({"type": "Feature", "properties": UNIT_PROPS, "geometry": [SQUARE]}),
+             "feature 'a': feature has no geometry object"),
+            ("admin", feature_collection({"type": "Feature", "properties": UNIT_PROPS,
+                                          "geometry": {"type": "Polygon", "coordinates": []}}),
+             "feature 'a': Polygon coordinates must be a non-empty ring array"),
+            ("admin", feature_collection({"type": "Feature", "properties": UNIT_PROPS,
+                                          "geometry": {"type": "MultiPolygon", "coordinates": []}}),
+             "feature 'a': MultiPolygon coordinates must be a non-empty array"),
+            ("admin", feature_collection({"type": "Feature", "properties": UNIT_PROPS,
+                                          "geometry": {"type": "Polygon", "coordinates": [5]}}),
+             "feature 'a': ring must be an array of positions"),
+        ],
+        ids=["top-level-list", "admin-feature-int", "poi-feature-int", "no-geometry", "geometry-list",
+             "empty-polygon", "empty-multipolygon", "ring-int"],
+    )
+    def test_geojson_of_the_wrong_shape(self, tmp_path, capsys, role, doc, message):
+        path = tmp_path / "bad.geojson"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", f"--{role}", str(path), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["errors"] == [f"SchemaError: {path}: {message}"]
+
+    def test_grid_header_line_that_is_not_key_value(self, tmp_path, capsys):
+        mask = tmp_path / "m.asc"
+        mask.write_text("NCOLS 2 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 30\nNODATA_VALUE -9999\n1 0\n0 1\n")
+        assert main(["validate", "--mask", str(mask), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["errors"] == [
+            f"FormatError: {mask}: header line 1 must be 'KEY value'"
+        ]
+
+    @pytest.mark.parametrize(
+        "text, points", [("", 0), ("x,y,category\n\n1,2,a\n , \n\n3,4,b\n", 2)], ids=["empty", "blank-rows"]
+    )
+    def test_csv_pois_empty_or_with_blank_rows(self, tmp_path, capsys, text, points):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        assert main(["validate", "--poi", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checked"]["poi"] == {"points": points}
+
+    def test_poi_properties_null(self, tmp_path, capsys):
+        point = {"type": "Feature", "properties": None, "geometry": {"type": "Point", "coordinates": [1.0, 2.0]}}
+        path = tmp_path / "p.geojson"
+        path.write_text(json.dumps(feature_collection(point)))
+        assert main(["validate", "--poi", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checked"]["poi"] == {"points": 1}
+        # checked a feature at a time, as when a later feature is refused
+        bad = {**point, "properties": {"category": 5}}
+        path.write_text(json.dumps(feature_collection(point, bad)))
+        assert main(["validate", "--poi", str(path), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["errors"] == [
+            f"SchemaError: {path}: feature #1: category must be a string or null, got 5"
+        ]
 
 
 class TestZonal:

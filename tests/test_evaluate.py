@@ -233,6 +233,18 @@ class TestZonalStats:
         rows = zonal_stats(pop, [unit("u", (0, 0, 200, 100))])
         assert rows[0].mean_density == pytest.approx(40.0 / 0.02, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "tile_size, values",
+        [(1e-155, [[10.0, 30.0]]),  # a subnormal tile area: 1e-316 km2
+         (1.0, [[1e303, 0.0]])],  # a normal one, under a population near the float limit
+    )
+    def test_a_density_that_is_not_finite_is_refused(self, tile_size, values):
+        grid = TileGrid(0, 0, 2, 1, tile_size)
+        pop = PopulationGrid.on(grid, np.array(values))
+        area = repr((tile_size / 1000.0) ** 2)
+        with pytest.raises(ValidationError, match=rf"unit 'u': .* tiles of {area} km2 give a mean density of inf"):
+            zonal_stats(pop, [unit("u", (0, 0, 2 * tile_size, tile_size))])
+
     def test_built_tile_count_from_raster(self):
         grid = TileGrid(0, 0, 2, 1, 30.0)
         pop = PopulationGrid.on(grid, np.array([[5.0, 0.0]]))

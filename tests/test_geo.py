@@ -401,14 +401,13 @@ class TestTileCentersInParts:
     @given(data=st.data())
     def test_equals_the_scalar_kernel_on_every_center(self, size, data):
         grid, (parts,) = data.draw(lattice_units(size, 1))
-        where = random_where(data.draw, grid)
         expect = [
             r * grid.n_cols + c
             for r in range(grid.n_rows)
             for c in range(grid.n_cols)
-            if (where is None or where[r * grid.n_cols + c]) and point_in_any(grid.tile_center(c, r), parts)
+            if point_in_any(grid.tile_center(c, r), parts)
         ]
-        assert tile_centers_in_parts(grid, parts, where).tolist() == expect
+        assert tile_centers_in_parts(grid, parts).tolist() == expect
 
     @staticmethod
     def nested_loop(grid, units, where=None):
@@ -488,16 +487,39 @@ class TestTileCentersInParts:
     def test_a_crossing_that_rounds_left_of_the_bbox_is_clipped_to_it(self):
         # at y = 1.125 the edge from (2**53 + 2, 2) to (2.5, 1.125) crosses at
         # xi == 2.0, since x2 - x1 rounds to -2**53: the scalar kernel then
-        # holds (2.125, 1.125) and (2.375, 1.125), left of the bbox; the
-        # lattice kernel labels only centers in the geometry's bbox
+        # holds (2.125, 1.125) and (2.375, 1.125), left of the bbox, and the
+        # lattice kernel must hold them too
         far = 2.0**53 + 2
         tri = Polygon(exterior=[(far, 2.0), (2.5, 1.125), (far, 0.0)])
         grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=16, n_rows=12, tile_size=0.25)
         assert point_in_polygon(Point(2.125, 1.125), tri) and point_in_polygon(Point(2.375, 1.125), tri)
         row = [i % 16 for i in tile_centers_in_parts(grid, [tri]).tolist() if i // 16 == 4]
-        assert row == list(range(10, 16))  # x from 2.625, the first center right of min_x = 2.5
+        assert row == list(range(8, 16))  # x from 2.125, the first center right of xi = 2.0
         got, _ = first_owners(grid, [[tri]])
         assert np.flatnonzero(got == 0).tolist() == tile_centers_in_parts(grid, [tri]).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        far=st.lists(st.tuples(st.integers(-8, 8), st.integers(-4, 28)), min_size=2, max_size=2),
+        near=st.tuples(st.integers(0, 32), st.integers(0, 11)),
+    )
+    def test_crossings_that_round_off_a_far_triangle(self, far, near):
+        # two vertices at 2**53 + 2k, where x2 - x1 rounds to a whole meter, and a
+        # near one on a row's centers: a crossing on that row may round past
+        # the triangle's bbox, and both lattice entry points must still hold
+        # exactly the centers the scalar rule holds
+        grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=16, n_rows=12, tile_size=0.25)
+        (k1, j1), (k2, j2) = far
+        corners = [(2.0**53 + 2 * k1, j1 * 0.125), (near[0] * 0.125, grid.tile_center(0, near[1]).y),
+                   (2.0**53 + 2 * k2, j2 * 0.125)]
+        try:
+            tri = Polygon(exterior=corners)
+        except GeometryError:
+            assume(False)
+        expect = [r * 16 + c for r in range(12) for c in range(16) if point_in_polygon(grid.tile_center(c, r), tri)]
+        assert tile_centers_in_parts(grid, [tri]).tolist() == expect
+        got, _ = first_owners(grid, [[tri]])
+        assert np.flatnonzero(got == 0).tolist() == expect
 
     def test_on_edge_temporaries_are_chunked(self):
         # a star of 360 long diagonal edges: their bboxes hold about 11M cells

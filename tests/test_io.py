@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -282,6 +283,41 @@ class TestReadPoi:
         p = tmp_path / "e.csv"
         p.write_text("x,y,category\n")
         assert len(io.read_poi(p)) == 0
+
+    @pytest.mark.parametrize(
+        "body, rows",
+        [
+            ('1,2,"a\r\nb"\r\n3,4,c\r\n', [(1.0, 2.0, "a\r\nb"), (3.0, 4.0, "c")]),
+            ("1,2,a\r3,4,b\r", [(1.0, 2.0, "a"), (3.0, 4.0, "b")]),  # a lone CR ends a record
+            ("1,2,a\x0cb\n3,4,c\u2028d\n", [(1.0, 2.0, "a\x0cb"), (3.0, 4.0, "c\u2028d")]),  # neither does
+            ("1,2,a\n3,4,b", [(1.0, 2.0, "a"), (3.0, 4.0, "b")]),  # a last line with no line end
+        ],
+    )
+    def test_csv_records_split_where_a_newline_free_file_splits(self, tmp_path, body, rows):
+        p = tmp_path / "p.csv"
+        p.write_bytes(("x,y,category\n" + body).encode())
+        pois = io.read_poi(p)
+        assert list(zip(pois.xs.tolist(), pois.ys.tolist(), pois.categories)) == rows
+        with open(p, newline="", encoding="utf-8") as fh:
+            assert [(float(x), float(y), c) for x, y, c in list(csv.reader(fh))[1:]] == rows
+
+    def test_csv_read_does_not_copy_the_text(self, tmp_path):
+        # the bytes and the text are alive together for a moment (2 bytes per
+        # byte of file), then the text and each row's floats and category; a
+        # second copy of the text split into lines made this about 9 bytes
+        rng = np.random.default_rng(0)
+        cats = ["shop", "school", "clinic", "mosque", "office"]
+        pois = PoiSet(rng.random(5000) * 7680, rng.random(5000) * 7680, [cats[i] for i in rng.integers(0, 5, 5000)])
+        p = tmp_path / "p.csv"
+        io.write_poi_csv(pois, p)
+        tracemalloc.start()
+        try:
+            back = io.read_poi(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.xs.tolist() == pois.xs.tolist() and back.categories == pois.categories
+        assert peak < 6.5 * p.stat().st_size
 
     def test_bad_coordinate_row(self, tmp_path):
         p = tmp_path / "b.csv"

@@ -16,7 +16,7 @@ from conftest import random_convex_polygon
 from popgrid.disaggregate import assign_pixels, brute_force_allocate, run_disaggregation
 from popgrid.errors import OverlapWarning
 from popgrid.evaluate import UNASSIGNED_ID, zonal_stats
-from popgrid.geo import Point, Polygon, TileGrid, point_in_any, rectangle, tile_centers_in_parts
+from popgrid.geo import Point, Polygon, TileGrid, point_in_any, rectangle
 from popgrid.io import AdminLevel, AdminUnit, BinaryRaster, PopulationGrid
 from popgrid.poi_filter import TileMask
 
@@ -136,13 +136,3 @@ def test_zonal_rows_equal_first_wins_oracle(name):
         assert row.population_sum == pop_sum
         assert row.built_tile_count == sum(flat_pop[t] > 0 for t in tiles)
         assert row.mean_density == (pop_sum / (len(tiles) * area) if tiles else 0.0)
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_where_restricts_tile_centers(name):
-    grid, _, _, units = world(name)
-    where = np.random.default_rng(3).random(grid.n_tiles) < 0.5
-    for u in units:
-        everything = tile_centers_in_parts(grid, u.geometry)
-        filtered = tile_centers_in_parts(grid, u.geometry, where)
-        assert filtered.tolist() == everything[where[everything]].tolist()
