@@ -37,7 +37,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -120,13 +120,12 @@ class BBox:
         return self.max_y - self.min_y
 
 
-def finite_coords(xs: Sequence, ys: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """``xs`` and ``ys`` as read-only float64 arrays under the ``as_real`` rule;
-    the first point with a refused coordinate raises the error ``Point`` does."""
-    arrays = [
-        np.array(v) if isinstance(v, np.ndarray) and v.dtype == np.float64 else np.fromiter(map(as_real, v), np.float64)
-        for v in (xs, ys)
-    ]
+def finite_coords(xs: Iterable, ys: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` and ``ys`` as read-only float64 arrays under the ``as_real`` rule,
+    the one bulk check of a coordinate; the first point with a refused
+    coordinate raises the error ``Point`` does."""
+    xs, ys = (v if isinstance(v, (list, tuple, np.ndarray)) else list(v) for v in (xs, ys))
+    arrays = [_real_array(v) for v in (xs, ys)]
     if arrays[0].shape != arrays[1].shape:
         raise ValidationError(f"coordinate arrays differ in length: {len(arrays[0])} xs, {len(arrays[1])} ys")
     bad = np.flatnonzero(~(np.isfinite(arrays[0]) & np.isfinite(arrays[1])))
@@ -137,21 +136,28 @@ def finite_coords(xs: Sequence, ys: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0], arrays[1]
 
 
-def _ring(ring: Sequence, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """A ring of Points or [x, y] pairs, or an (n, 2) float64 array, as open
-    (xs, ys) arrays (no repeated last vertex)."""
-    if isinstance(ring, np.ndarray) and ring.dtype == np.float64 and ring.ndim == 2:
-        xs, ys = finite_coords(ring[:, 0], ring[:, 1])
-    else:
-        xs, ys = finite_coords(
-            [v.x if isinstance(v, Point) else v[0] for v in ring],
-            [v.y if isinstance(v, Point) else v[1] for v in ring],
-        )
+def _real_array(values: Sequence) -> np.ndarray:
+    """``values`` as float64 under ``as_real``: numpy converts a column of
+    ints and floats only as ``float()`` does, any other goes a value at a time."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return np.array(values)
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, np.float64)
+        except OverflowError:  # an int past the float range: as_real makes it infinite
+            pass
+    return np.fromiter(map(as_real, values), np.float64)
+
+
+def _ring(ring: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """A ring of Points or [x, y] pairs as open (xs, ys) arrays (no repeated
+    last vertex)."""
+    xs, ys = finite_coords(
+        [v.x if isinstance(v, Point) else v[0] for v in ring],
+        [v.y if isinstance(v, Point) else v[1] for v in ring],
+    )
     if len(xs) >= 2 and xs[0] == xs[-1] and ys[0] == ys[-1]:
-        xs, ys = xs[:-1], ys[:-1]
-    distinct = _distinct_up_to_3(xs, ys)
-    if distinct < 3:
-        raise GeometryError(f"{what} needs at least 3 distinct vertices, got {distinct}")
+        return xs[:-1], ys[:-1]
     return xs, ys
 
 
@@ -182,24 +188,27 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> tuple[Point, ...]:
 class Polygon:
     """A simple polygon with optional holes.
 
-    Rings may be given as Points or [x, y] pairs, or as (n, 2) float64
-    arrays, closed (first vertex repeated at the end) or open. ``rings``
-    holds them once, open, as read-only float64 ``(xs, ys)`` arrays, exterior
-    first; ``exterior`` and ``holes`` build Point views on demand. Exterior
-    non-self-intersection is assumed of the input and only checked cheaply
-    (vertex count, finite nonzero area).
+    Rings may be given as Points or [x, y] pairs, closed (first vertex
+    repeated at the end) or open; every ring's coordinates are checked before
+    any ring's shape. ``rings`` holds them once, open, as read-only float64
+    ``(xs, ys)`` arrays, exterior first; ``exterior`` and ``holes`` build
+    Point views on demand. Exterior non-self-intersection is assumed of the
+    input and only checked cheaply (vertex count, finite nonzero area).
     """
 
     def __init__(self, exterior: Sequence, holes: Sequence[Sequence] = ()):
-        rings = (_ring(exterior, "exterior ring"),)
-        rings += tuple(_ring(h, f"hole ring {i}") for i, h in enumerate(holes))
+        rings = tuple(map(_ring, (exterior, *holes)))
+        names = ["exterior ring", *(f"hole ring {i}" for i in range(len(rings) - 1))]
+        for name, (xs, ys) in zip(names, rings):
+            distinct = _distinct_up_to_3(xs, ys)
+            if distinct < 3:
+                raise GeometryError(f"{name} needs at least 3 distinct vertices, got {distinct}")
         with np.errstate(over="ignore", invalid="ignore"):  # an area that overflows is refused below
             areas = [abs(_ring_signed_area(xs, ys)) for xs, ys in rings]
-        for i, area in enumerate(areas):
+        for name, area in zip(names, areas):
             if not 0.0 < area < math.inf:
-                ring = "exterior ring" if i == 0 else f"hole ring {i - 1}"
                 problem = "zero area" if area == 0.0 else "an area that is not finite: its coordinates are too large"
-                raise GeometryError(f"{ring} has {problem}")
+                raise GeometryError(f"{name} has {problem}")
         self.rings: tuple[tuple[np.ndarray, np.ndarray], ...] = rings
 
     def __eq__(self, other: object) -> bool:

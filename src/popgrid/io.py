@@ -16,11 +16,12 @@ member ``"coordinate_units": "meters"``; readers reject collections whose
 ``crs``/``coordinate_units`` member declares a geographic (degree) system,
 and ``read_admin_units`` also rejects degree-like coordinates in a collection
 declaring no meter units.
-GeoJSON readers check each ring's positions, and the POI file's position
-column, in bulk with numpy under the ``geo.as_real`` rule; only a refused
-input goes through the per-position check, which names the first fault.
-Rings and POIs go on as float arrays (``Polygon.rings``, ``PoiSet(xs, ys,
-categories)``); writers format those arrays from ``tolist()``.
+GeoJSON readers check structure only: a ring or the POI file's position
+column is an array of positions, each an array of at least two values. The
+coordinates go to ``Polygon`` and ``PoiSet``, whose ``geo.finite_coords``
+is the one check of a coordinate; only a refused input is walked again, to
+name its first fault. Writers format the arrays those types hold
+(``Polygon.rings``, ``PoiSet.xs``/``ys``) from ``tolist()``.
 
 ESRI ASCII grids are read a line at a time, never holding a string per cell:
 a 0/1 body laid out as popgrid writes it is checked as bytes, numpy parses
@@ -60,7 +61,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     FormatError,
-    GeometryError,
     HeaderOrderWarning,
     LevelMismatchError,
     ParseError,
@@ -303,55 +303,27 @@ def _finite_pair(x: object, y: object, where: str) -> tuple[float, float]:
         raise ValidationError(f"{where}: {e}") from None
 
 
-def _position_array(values: list) -> np.ndarray | None:
-    """The JSON positions ``values`` as an (n, 2) float64 array, checked in
-    bulk; None when any is refused.
-
-    A position is accepted when it is a list of at least two values whose
-    first two are an ``int`` or a ``float`` (not a ``bool``) that is finite
-    as a float64; a third or later value is ignored. numpy converts an int
-    to the float ``float()`` gives, and one past the float range raises
-    ``OverflowError``. For JSON values this refuses exactly what
-    ``_coord_pair`` refuses.
-    """
-    if not values:
-        return np.empty((0, 2))
-    if set(map(type, values)) != {list}:
-        return None
-    try:
-        columns = (list(map(itemgetter(0), values)), list(map(itemgetter(1), values)))
-    except IndexError:  # a position of fewer than two values
-        return None
-    if not set(map(type, columns[0])) | set(map(type, columns[1])) <= {int, float}:
-        return None
-    try:
-        array = np.array(columns, dtype=np.float64).T
-    except OverflowError:
-        return None
-    return array if np.isfinite(array).all() else None
-
-
-def _positions(values: list, where: str) -> np.ndarray:
-    """The JSON positions ``values`` as an (n, 2) float64 array; the first
-    refused one raises ``_coord_pair``'s error, after ``where``."""
-    array = _position_array(values)
-    if array is None:  # name the first fault
-        array = np.array([_coord_pair(v, where) for v in values], dtype=np.float64)
-    return array
+def _is_position_array(values: object) -> bool:
+    """Whether ``values`` is a GeoJSON array of positions, arrays of at least two values."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {list}:
+        return False
+    return min(map(len, values), default=2) >= 2
 
 
 def _polygon_from_rings(rings: object, where: str) -> Polygon:
+    """The Polygon of GeoJSON ``rings``: io checks their structure, ``Polygon`` the rest."""
     if not isinstance(rings, list) or not rings:
         raise SchemaError(f"{where}: Polygon coordinates must be a non-empty ring array")
-    parsed = []
-    for ring in rings:
-        if not isinstance(ring, list):
-            raise SchemaError(f"{where}: ring must be an array of positions")
-        parsed.append(_positions(ring, where))
+    if not all(map(_is_position_array, rings)):
+        for ring in rings:  # name the first fault, of structure or of a coordinate
+            if not isinstance(ring, list):
+                raise SchemaError(f"{where}: ring must be an array of positions")
+            for position in ring:
+                _coord_pair(position, where)
     try:
-        return Polygon(exterior=parsed[0], holes=tuple(parsed[1:]))
-    except GeometryError as e:
-        raise GeometryError(f"{where}: {e}") from None
+        return Polygon(exterior=rings[0], holes=rings[1:])
+    except ValidationError as e:  # a GeometryError keeps its type
+        raise type(e)(f"{where}: {e}") from None
 
 
 def _geometry_parts(geom: object, where: str) -> tuple[Polygon, ...]:
@@ -477,16 +449,18 @@ def _poi_columns(feats: list) -> PoiSet | None:
     # counted, not put in a set: a type may be a list, which does not hash
     if list(map(dict.get, geoms, repeat("type"))).count("Point") != len(geoms):
         return None
-    positions = _position_array(list(map(dict.get, geoms, repeat("coordinates"))))
-    if positions is None:
+    positions = list(map(dict.get, geoms, repeat("coordinates")))
+    if not _is_position_array(positions):
         return None
     props = list(map(dict.get, feats, repeat("properties")))
     if not set(map(type, props)) <= {dict, type(None)}:
         return None
     categories = [None if p is None else p.get("category") for p in props]
-    if not set(map(type, categories)) <= {str, type(None)}:
+    categories = ["" if c is None else c for c in categories]
+    try:
+        return PoiSet(list(map(itemgetter(0), positions)), list(map(itemgetter(1), positions)), categories)
+    except ValidationError:  # a refused coordinate or category
         return None
-    return PoiSet(positions[:, 0], positions[:, 1], [c or "" for c in categories])
 
 
 def _poi_features(feats: list, name: str) -> PoiSet:
@@ -512,7 +486,7 @@ def _poi_features(feats: list, name: str) -> PoiSet:
         xs.append(x)
         ys.append(y)
         categories.append(category or "")
-    return PoiSet(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), categories)
+    return PoiSet(xs, ys, categories)
 
 
 def _poi_csv(text: str, path: str | Path) -> PoiSet:
@@ -544,7 +518,7 @@ def _poi_csv(text: str, path: str | Path) -> PoiSet:
         xs.append(x)
         ys.append(y)
         categories.append(row[2].strip() if has_category and len(row) > 2 else "")
-    return PoiSet(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), categories)
+    return PoiSet(xs, ys, categories)
 
 
 def write_poi_csv(pois: PoiSet, path: str | Path) -> None:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from popgrid.errors import GeometryError, ValidationError
@@ -15,6 +15,8 @@ from popgrid.geo import (
     Point,
     Polygon,
     TileGrid,
+    as_real,
+    finite_coords,
     first_owners,
     parts_bbox,
     point_in_any,
@@ -159,6 +161,62 @@ class TestPolygonValidation:
         )
         assert with_hole.area == 96.0
 
+    def test_every_ring_coordinate_is_checked_before_any_ring_shape(self):
+        with pytest.raises(ValidationError) as e:
+            Polygon(exterior=[(0, 0), (1, 1), (0, 0), (1, 1)], holes=[[(0, 0), ("x", 0), (1, 1)]])
+        assert type(e.value) is ValidationError
+        assert str(e.value) == "Point.x must be a finite real number, got 'x'"
+
+
+def reference_coords(xs: list, ys: list):
+    """``finite_coords`` a value at a time: each value through ``as_real``,
+    then the first point with a refused coordinate through ``Point``."""
+    ax = np.array([as_real(v) for v in xs], dtype=np.float64)
+    ay = np.array([as_real(v) for v in ys], dtype=np.float64)
+    for x, y, fx, fy in zip(xs, ys, ax, ay):
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            Point(x, y)
+    return ax, ay
+
+
+def coords_outcome(call):
+    """The bits of the arrays ``call()`` gives, or the type and text of its error."""
+    try:
+        return [a.tobytes() for a in call()]
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+_reals = (
+    st.integers(-(2**1100), 2**1100)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2**53 + 1, -(2**63) - 1, 2**1024])
+)
+_non_reals = st.booleans() | st.none() | st.text(max_size=3) | st.floats().map(np.float64)
+
+
+@st.composite
+def coordinate_columns(draw):
+    """Equal-length xs and ys lists, all ints and floats (the list fast path)
+    about half the time, else with bools, None, strings and numpy floats."""
+    values = _reals if draw(st.booleans()) else _reals | _non_reals
+    pairs = draw(st.lists(st.tuples(values, values), max_size=8))
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+class TestFiniteCoords:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=coordinate_columns())
+    @example(columns=([2**1100, 1.0], [0.0, 1.0]))
+    @example(columns=([-0.0, 5e-324], [2**53 + 1, -(2**63) - 1]))
+    @example(columns=([1, True], [2, 2]))
+    def test_a_list_gives_the_bits_and_errors_of_the_per_value_rule(self, columns):
+        xs, ys = columns
+        expected = coords_outcome(lambda: reference_coords(xs, ys))
+        assert coords_outcome(lambda: finite_coords(xs, ys)) == expected
+        assert coords_outcome(lambda: finite_coords(tuple(xs), tuple(ys))) == expected
+        assert coords_outcome(lambda: finite_coords(iter(xs), (y for y in ys))) == expected
+
 
 def point_rings(rings) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each ring as Points with a repeated closing vertex dropped, then its x
@@ -197,6 +255,7 @@ def test_polygon_from_any_ring_form_holds_the_point_ring_arrays(rings):
         lambda r: [Point(x, y) for x, y in r],
         lambda r: [[x, y] for x, y in r],
         lambda r: tuple(r),
+        lambda r: np.array(r, dtype=np.float64).reshape(-1, 2),
     ]
     want = point_rings(rings)
     error = ring_error(want)

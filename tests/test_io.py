@@ -552,7 +552,11 @@ class TestBulkIngest:
         def refuse(value, where):
             raise AssertionError(f"{where}: {value!r} went through the per-position check")
 
+        def refuse_features(feats, name):
+            raise AssertionError(f"{name}: the features went through the per-feature check")
+
         monkeypatch.setattr(io, "_coord_pair", refuse)
+        monkeypatch.setattr(io, "_poi_features", refuse_features)
         readers = {"admin.geojson": io.read_admin_units, "poi.geojson": io.read_poi}
         paths = sorted(data_dir.glob("*.geojson"))
         assert [path.name for path in paths] == sorted(readers)
@@ -565,6 +569,29 @@ class TestBulkIngest:
         p = tmp_path / "p.geojson"
         p.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
         assert io.read_poi(p).categories == ("",)
+
+    @pytest.mark.parametrize("category", [0, False])
+    def test_a_category_that_is_not_a_string_is_refused(self, tmp_path, category):
+        features = [
+            {"type": "Feature", "properties": {"category": c}, "geometry": {"type": "Point", "coordinates": [1, 2]}}
+            for c in ("a", category)
+        ]
+        p = tmp_path / "p.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        with pytest.raises(SchemaError) as e:
+            io.read_poi(p)
+        assert str(e.value) == f"{p}: feature #1: category must be a string or null, got {category!r}"
+
+    def test_a_ring_coordinate_is_named_before_an_earlier_ring_shape(self, tmp_path):
+        exterior = [[0, 0], [90, 90], [0, 0], [90, 90]]
+        unit = {"type": "Feature", "properties": {"id": "a", "level": "circle", "population": 1}}
+        unit["geometry"] = {"type": "Polygon", "coordinates": [exterior, [[10, 10], ["x", 10], [20, 20]]]}
+        p = tmp_path / "two.geojson"
+        p.write_text(json.dumps({"type": "FeatureCollection", "coordinate_units": "meters", "features": [unit]}))
+        with pytest.raises(ValidationError) as e:
+            io.read_admin_units(p)
+        assert type(e.value) is ValidationError
+        assert str(e.value) == f"{p}: feature 'a': Point.x must be a finite real number, got 'x'"
 
 
 def integral(v) -> bool:
