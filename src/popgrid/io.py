@@ -18,10 +18,17 @@ and ``read_admin_units`` also rejects degree-like coordinates in a collection
 declaring no meter units.
 GeoJSON readers check structure only: a ring or the POI file's position
 column is an array of positions, each an array of at least two values. The
-coordinates go to ``Polygon`` and ``PoiSet``, whose ``geo.finite_coords``
-is the one check of a coordinate; only a refused input is walked again, to
-name its first fault. Writers format the arrays those types hold
-(``Polygon.rings``, ``PoiSet.xs``/``ys``) from ``tolist()``.
+coordinates go to ``geo.polygons`` and ``PoiSet``, whose
+``geo.finite_coords`` is the one check of a coordinate; only a refused
+input is walked again, to name its first fault. ``read_admin_units`` checks
+each feature's properties and ring structure in file order and then builds
+every ring of the file in one ``geo.polygons`` pass; a fault its loop finds
+is raised only after the rings read before it have been built, so the
+fault named is the one a feature-at-a-time read would meet first. Both
+readers pause the cyclic garbage collector for their whole body (a decoded
+JSON document is a tree that reference counting frees) and restore it as
+they found it. Writers format the arrays those types hold (``Polygon.rings``,
+``PoiSet.xs``/``ys``) from ``tolist()``.
 
 ESRI ASCII grids are read a line at a time, never holding a string per cell:
 a 0/1 body laid out as popgrid writes it is checked as bytes, numpy parses
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import gc
 import json
 import math
 import os
@@ -64,11 +72,12 @@ from .errors import (
     HeaderOrderWarning,
     LevelMismatchError,
     ParseError,
+    PopgridError,
     SchemaError,
     TruncationError,
     ValidationError,
 )
-from .geo import BBox, Polygon, TileGrid, _require_finite, as_real, parts_bbox
+from .geo import BBox, Polygon, TileGrid, _require_finite, as_real, parts_bbox, polygons
 from .poi_filter import PoiSet, TileMask
 
 _ASCII_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -98,6 +107,14 @@ class AdminLevel(str, Enum):
             ) from None
 
 
+def _population(unit_id: str, value: object) -> float:
+    """An admin unit's population under the ``as_real`` rule: finite and not negative."""
+    population = as_real(value)
+    if not math.isfinite(population) or population < 0:
+        raise ValidationError(f"admin unit {unit_id!r} has invalid population {value!r}")
+    return population
+
+
 @dataclass(frozen=True)
 class AdminUnit:
     """A census polygon (possibly multi-part) carrying a population count."""
@@ -111,10 +128,7 @@ class AdminUnit:
         object.__setattr__(self, "geometry", tuple(self.geometry))
         if not self.geometry:
             raise ValidationError(f"admin unit {self.id!r} has no geometry")
-        pop = as_real(self.population)
-        if not math.isfinite(pop) or pop < 0:
-            raise ValidationError(f"admin unit {self.id!r} has invalid population {self.population!r}")
-        object.__setattr__(self, "population", pop)
+        object.__setattr__(self, "population", _population(self.id, self.population))
 
     @cached_property
     def bbox(self) -> BBox:
@@ -229,6 +243,23 @@ class PopulationGrid(Raster):
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The block runs with Python's cyclic garbage collector paused; on exit,
+    error or not, it is enabled again if it was enabled on entry. A decoded
+    JSON document is a tree, freed by reference counting, in which a
+    collection could free nothing but would walk every node. As a decorator
+    it spans the whole call, so a reader's locals, the document among them,
+    are freed before the collector runs again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_text(path: str | Path) -> str:
     """The text of ``path``: its bytes, read once and decoded as UTF-8, less
     one leading byte-order mark, with line ends as they are. A byte that is
@@ -310,34 +341,52 @@ def _is_position_array(values: object) -> bool:
     return min(map(len, values), default=2) >= 2
 
 
-def _polygon_from_rings(rings: object, where: str) -> Polygon:
-    """The Polygon of GeoJSON ``rings``: io checks their structure, ``Polygon`` the rest."""
+def _ring_array(rings: object, where: str) -> list:
+    """GeoJSON Polygon ``rings`` with their structure checked: a non-empty
+    array of rings, each an array of positions. Their coordinates and shapes
+    are ``Polygon``'s to check; on a structure fault the positions are walked
+    in order, to name the first fault of either kind."""
     if not isinstance(rings, list) or not rings:
         raise SchemaError(f"{where}: Polygon coordinates must be a non-empty ring array")
     if not all(map(_is_position_array, rings)):
-        for ring in rings:  # name the first fault, of structure or of a coordinate
+        for ring in rings:
             if not isinstance(ring, list):
                 raise SchemaError(f"{where}: ring must be an array of positions")
             for position in ring:
                 _coord_pair(position, where)
-    try:
-        return Polygon(exterior=rings[0], holes=rings[1:])
-    except ValidationError as e:  # a GeometryError keeps its type
-        raise type(e)(f"{where}: {e}") from None
+    return rings
 
 
-def _geometry_parts(geom: object, where: str) -> tuple[Polygon, ...]:
+def _part_rings(geom: object, where: str) -> Iterator[list]:
+    """The structure-checked rings of each part of a feature's geometry, in
+    order, each yielded before the next part is checked."""
     if not isinstance(geom, dict):
         raise SchemaError(f"{where}: feature has no geometry object")
     gtype = geom.get("type")
     coords = geom.get("coordinates")
     if gtype == "Polygon":
-        return (_polygon_from_rings(coords, where),)
-    if gtype == "MultiPolygon":
+        yield _ring_array(coords, where)
+    elif gtype == "MultiPolygon":
         if not isinstance(coords, list) or not coords:
             raise SchemaError(f"{where}: MultiPolygon coordinates must be a non-empty array")
-        return tuple(_polygon_from_rings(rings, where) for rings in coords)
-    raise SchemaError(f"{where}: unsupported geometry type {gtype!r} (expected Polygon/MultiPolygon)")
+        for rings in coords:
+            yield _ring_array(rings, where)
+    else:
+        raise SchemaError(f"{where}: unsupported geometry type {gtype!r} (expected Polygon/MultiPolygon)")
+
+
+def _polygons(rings_per_polygon: list, wheres: list[str]) -> list[Polygon]:
+    """``geo.polygons`` of the checked GeoJSON rings; a refusal names the
+    ``where`` of the first refused polygon."""
+    try:
+        return polygons(rings_per_polygon)
+    except ValidationError:
+        for rings, where in zip(rings_per_polygon, wheres):
+            try:
+                Polygon(rings[0], rings[1:])
+            except ValidationError as e:  # a GeometryError keeps its type
+                raise type(e)(f"{where}: {e}") from None
+        raise
 
 
 def _required_property(props: object, key: str, where: str) -> object:
@@ -346,6 +395,7 @@ def _required_property(props: object, key: str, where: str) -> object:
     return props[key]
 
 
+@_collector_paused()
 def read_admin_units(path: str | Path, expected_level: AdminLevel | str = AdminLevel.CIRCLE) -> list[AdminUnit]:
     """Read admin polygons from a GeoJSON FeatureCollection.
 
@@ -359,33 +409,47 @@ def read_admin_units(path: str | Path, expected_level: AdminLevel | str = AdminL
     _reject_geographic(doc, path)
     if not isinstance(expected_level, AdminLevel):
         expected_level = AdminLevel.parse(expected_level)
-    units: list[AdminUnit] = []
+    # each feature's properties and ring structure are checked in file
+    # order; its rings are built with every other feature's, after the loop
+    found: list[tuple[str, AdminLevel, object, int]] = []
+    parts: list[list] = []  # the rings of each part
+    wheres: list[str] = []
     seen_ids: set[str] = set()
-    for i, feat in enumerate(_features(doc, path)):
-        if not isinstance(feat, dict):
-            raise SchemaError(f"{path}: feature #{i} is not an object")
-        props = feat.get("properties")
-        raw_id = _required_property(props, "id", f"{path}: feature #{i}")
-        if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
-            raise SchemaError(f"{path}: feature #{i}: id {raw_id!r} is not a string or an integer")
-        fid = str(raw_id)
-        where = f"{path}: feature {fid!r}"
-        level = AdminLevel.parse(_required_property(props, "level", where))
-        if level != expected_level:
-            raise LevelMismatchError(
-                f"{where}: level {level.value!r} does not match expected {expected_level.value!r}"
-            )
-        population = _required_property(props, "population", where)
-        if isinstance(population, bool) or not isinstance(population, (int, float)):
-            raise SchemaError(f"{where}: population {population!r} is not a number")
-        if fid in seen_ids:
-            raise ValidationError(f"{where}: duplicate admin unit id")
-        seen_ids.add(fid)
-        geometry = _geometry_parts(feat.get("geometry"), where)
-        try:
-            units.append(AdminUnit(id=fid, level=level, geometry=geometry, population=population))
-        except ValidationError as e:
-            raise ValidationError(f"{where}: {e}") from None
+    try:
+        for i, feat in enumerate(_features(doc, path)):
+            if not isinstance(feat, dict):
+                raise SchemaError(f"{path}: feature #{i} is not an object")
+            props = feat.get("properties")
+            raw_id = _required_property(props, "id", f"{path}: feature #{i}")
+            if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
+                raise SchemaError(f"{path}: feature #{i}: id {raw_id!r} is not a string or an integer")
+            fid = str(raw_id)
+            where = f"{path}: feature {fid!r}"
+            level = AdminLevel.parse(_required_property(props, "level", where))
+            if level != expected_level:
+                raise LevelMismatchError(
+                    f"{where}: level {level.value!r} does not match expected {expected_level.value!r}"
+                )
+            population = _required_property(props, "population", where)
+            if isinstance(population, bool) or not isinstance(population, (int, float)):
+                raise SchemaError(f"{where}: population {population!r} is not a number")
+            if fid in seen_ids:
+                raise ValidationError(f"{where}: duplicate admin unit id")
+            seen_ids.add(fid)
+            first_part = len(parts)
+            for rings in _part_rings(feat.get("geometry"), where):
+                parts.append(rings)
+                wheres.append(where)
+            try:
+                _population(fid, population)
+            except ValidationError as e:
+                raise ValidationError(f"{where}: {e}") from None
+            found.append((fid, level, population, len(parts) - first_part))
+    except PopgridError:
+        _polygons(parts, wheres)  # a fault in a ring read earlier is named first
+        raise
+    built = iter(_polygons(parts, wheres))
+    units = [AdminUnit(fid, level, tuple(islice(built, n)), population) for fid, level, population, n in found]
     _reject_geographic(doc, path, units)
     return units
 
@@ -420,6 +484,7 @@ def _rings_to_coords(poly: Polygon) -> list[list[list[float]]]:
     return out
 
 
+@_collector_paused()
 def read_poi(path: str | Path) -> PoiSet:
     """Read POIs from GeoJSON (Point features) or CSV (header x,y,category).
 
@@ -492,7 +557,9 @@ def _poi_features(feats: list, name: str) -> PoiSet:
 def _poi_csv(text: str, path: str | Path) -> PoiSet:
     """The POIs of the CSV ``text`` read from ``path``, split into records as
     a file opened with ``newline=""`` is: lines end at ``\r\n``, ``\r`` or
-    ``\n`` and keep their ends, and are taken one at a time, not copied."""
+    ``\n`` and keep their ends, and are taken one at a time, not copied.
+    The coordinates are checked once, as columns, by ``PoiSet``; the rows are
+    walked again only on a fault, to name the first row refused."""
     reader = csv.reader(m.group() for m in re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z", text))
     try:
         header = next(reader)
@@ -502,23 +569,28 @@ def _poi_csv(text: str, path: str | Path) -> PoiSet:
     if header[:2] != ["x", "y"]:
         raise SchemaError(f"{path}: expected CSV header x,y[,category], got {header}")
     has_category = len(header) > 2 and header[2] == "category"
-    name = str(path)  # formatted once, not once a row
-    xs, ys, categories = [], [], []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 2:
-            raise SchemaError(f"{path}: row {row_no}: expected at least x,y")
-        try:
-            x = float(row[0])
-            y = float(row[1])
-        except ValueError:
-            raise ValidationError(f"{path}: row {row_no}: unparseable coordinate {row[:2]!r}") from None
-        x, y = _finite_pair(x, y, f"{name}: row {row_no}")
-        xs.append(x)
-        ys.append(y)
-        categories.append(row[2].strip() if has_category and len(row) > 2 else "")
-    return PoiSet(xs, ys, categories)
+    xs, ys, categories, rows = [], [], [], []
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < 2:
+                raise SchemaError(f"{path}: row {row_no}: expected at least x,y")
+            try:
+                x = float(row[0])
+                y = float(row[1])
+            except ValueError:
+                raise ValidationError(f"{path}: row {row_no}: unparseable coordinate {row[:2]!r}") from None
+            xs.append(x)
+            ys.append(y)
+            rows.append(row_no)
+            categories.append(row[2].strip() if has_category and len(row) > 2 else "")
+        return PoiSet(xs, ys, categories)
+    except (PopgridError, csv.Error):
+        # the first row whose coordinates are refused, if any, is named first
+        for x, y, row_no in zip(xs, ys, rows):
+            _finite_pair(x, y, f"{path}: row {row_no}")
+        raise
 
 
 def write_poi_csv(pois: PoiSet, path: str | Path) -> None:

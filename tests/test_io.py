@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -319,6 +320,24 @@ class TestReadPoi:
         assert back.xs.tolist() == pois.xs.tolist() and back.categories == pois.categories
         assert peak < 6.5 * p.stat().st_size
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("nan,inf,b", "Point.x must be a finite real number, got nan"),
+            ("1,inf,b", "Point.y must be a finite real number, got inf"),
+            ("1e400,2,b", "Point.x must be a finite real number, got inf"),
+        ],
+    )
+    @pytest.mark.parametrize("later_row", ["5,6,c", "abc,6,c", "5"])
+    def test_a_coordinate_that_is_not_finite_names_its_row(self, tmp_path, bad_row, message, later_row):
+        # the blank line is counted as a row; a later unparseable or short row is not reached
+        p = tmp_path / "p.csv"
+        p.write_text(f"x,y,category\n1,2,a\n\n{bad_row}\n{later_row}\n")
+        with pytest.raises(ValidationError) as e:
+            io.read_poi(p)
+        assert type(e.value) is ValidationError
+        assert str(e.value) == f"{p}: row 3: {message}"
+
     def test_bad_coordinate_row(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text("x,y,category\nabc,4,shop\n")
@@ -592,6 +611,177 @@ class TestBulkIngest:
             io.read_admin_units(p)
         assert type(e.value) is ValidationError
         assert str(e.value) == f"{p}: feature 'a': Point.x must be a finite real number, got 'x'"
+
+
+def admin_file(path: Path, features: list[dict]) -> Path:
+    path.write_text(json.dumps({"type": "FeatureCollection", "coordinate_units": "meters", "features": features}))
+    return path
+
+
+def admin_feature(fid: str, rings: list, population: object = 10, level: str = "circle") -> dict:
+    return {
+        "type": "Feature",
+        "properties": {"id": fid, "level": level, "population": population},
+        "geometry": {"type": "Polygon", "coordinates": rings},
+    }
+
+
+_SQUARE = [[0, 0], [90, 0], [90, 90], [0, 90], [0, 0]]
+
+# one fault of each kind a feature can hold, and the error it gives
+_ADMIN_FAULTS = {
+    "shape": (
+        lambda f: f["geometry"].update(coordinates=[[[0, 0], [90, 90], [0, 0], [90, 90]]]),
+        GeometryError,
+        "exterior ring needs at least 3 distinct vertices, got 2",
+    ),
+    "area": (
+        lambda f: f["geometry"].update(coordinates=[[[0, 0], [1, 1], [2, 2], [0, 0]]]),
+        GeometryError,
+        "exterior ring has zero area",
+    ),
+    "coordinate": (
+        lambda f: f["geometry"].update(coordinates=[[[0, 0], [90, 0], [math.nan, 90], [0, 90], [0, 0]]]),
+        ValidationError,
+        "Point.x must be a finite real number, got nan",
+    ),
+    "structure": (
+        lambda f: f["geometry"].update(coordinates=[[[0, 0], [90, 0], [5], [0, 90], [0, 0]]]),
+        SchemaError,
+        "coordinate must be an [x, y] array, got [5]",
+    ),
+    "population": (
+        lambda f: f["properties"].update(population=-1),
+        ValidationError,
+        "admin unit '{fid}' has invalid population -1",
+    ),
+    "level": (
+        lambda f: f["properties"].update(level="tehsil"),
+        LevelMismatchError,
+        "level 'tehsil' does not match expected 'circle'",
+    ),
+}
+
+
+class TestAdminFaultOrder:
+    """``read_admin_units`` builds every ring in one pass after its loop over
+    the features, and still names the fault a feature-at-a-time read meets
+    first: each feature's properties, then its geometry, then its population
+    value, then the next feature."""
+
+    @pytest.mark.parametrize("second", sorted(_ADMIN_FAULTS))
+    @pytest.mark.parametrize("first", sorted(_ADMIN_FAULTS))
+    def test_the_earlier_features_fault_is_named(self, tmp_path, first, second):
+        features = [admin_feature(fid, [list(_SQUARE)]) for fid in ("a", "b", "c")]
+        _ADMIN_FAULTS[second][0](features[1])
+        _ADMIN_FAULTS[first][0](features[0])
+        p = admin_file(tmp_path / "a.geojson", features)
+        _, error, message = _ADMIN_FAULTS[first]
+        with pytest.raises(error) as e:
+            io.read_admin_units(p)
+        assert type(e.value) is error
+        assert str(e.value) == f"{p}: feature 'a': {message.format(fid='a')}"
+
+    @pytest.mark.parametrize("ring_fault", ["shape", "area", "coordinate"])
+    @pytest.mark.parametrize("later", ["population", "duplicate", "missing", "structure"])
+    def test_a_ring_fault_is_named_before_a_later_fault_the_loop_finds(self, tmp_path, ring_fault, later):
+        features = [admin_feature(fid, [list(_SQUARE)]) for fid in ("a", "b", "c")]
+        _ADMIN_FAULTS[ring_fault][0](features[1])
+        if later == "population":  # the same feature's population value is checked after its rings
+            features[1]["properties"]["population"] = -1
+        elif later == "duplicate":
+            features[2]["properties"]["id"] = "b"
+        elif later == "missing":
+            del features[2]["properties"]["population"]
+        else:
+            _ADMIN_FAULTS["structure"][0](features[2])
+        p = admin_file(tmp_path / "a.geojson", features)
+        _, error, message = _ADMIN_FAULTS[ring_fault]
+        with pytest.raises(error) as e:
+            io.read_admin_units(p)
+        assert type(e.value) is error
+        assert str(e.value) == f"{p}: feature 'b': {message}"
+
+    def test_a_multipolygons_earlier_part_is_named_before_a_later_parts_structure(self, tmp_path):
+        flat = [[0, 0], [90, 90], [0, 0], [90, 90]]
+        feature = admin_feature("m", [])
+        feature["geometry"] = {"type": "MultiPolygon", "coordinates": [[_SQUARE], [flat], [[[0, 0], [5]]]]}
+        p = admin_file(tmp_path / "a.geojson", [admin_feature("a", [_SQUARE]), feature])
+        with pytest.raises(GeometryError) as e:
+            io.read_admin_units(p)
+        assert str(e.value) == f"{p}: feature 'm': exterior ring needs at least 3 distinct vertices, got 2"
+        feature["geometry"]["coordinates"][1] = [_SQUARE]
+        admin_file(p, [admin_feature("a", [_SQUARE]), feature])
+        with pytest.raises(SchemaError) as e:
+            io.read_admin_units(p)
+        assert str(e.value) == f"{p}: feature 'm': coordinate must be an [x, y] array, got [5]"
+
+
+def _failing_reads(tmp_path: Path) -> list:
+    """(reader, path, error) for a read of each outcome: success (error
+    None), ParseError, SchemaError and GeometryError or ValidationError."""
+    good_admin = admin_file(tmp_path / "ok.geojson", [admin_feature("a", [_SQUARE])])
+    shape = admin_file(tmp_path / "shape.geojson", [admin_feature("a", [[[0, 0], [1, 1], [0, 0]]])])
+    no_geometry = admin_file(tmp_path / "schema.geojson", [{"type": "Feature", "properties": {"id": "a"}}])
+    broken = tmp_path / "broken.geojson"
+    broken.write_text('{"type": "FeatureCollection", "features": [')
+    good_poi = tmp_path / "ok.csv"
+    good_poi.write_text("x,y,category\n1,2,a\n")
+    bad_header = tmp_path / "header.csv"
+    bad_header.write_text("lon,lat\n1,2\n")
+    nan_poi = tmp_path / "nan.csv"
+    nan_poi.write_text("x,y\nnan,2\n")
+    line = {"type": "Feature", "properties": {}, "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 1]]}}
+    line_poi = tmp_path / "line.geojson"
+    line_poi.write_text(json.dumps({"type": "FeatureCollection", "features": [line]}))
+    return [
+        (io.read_admin_units, good_admin, None),
+        (io.read_admin_units, broken, ParseError),
+        (io.read_admin_units, no_geometry, SchemaError),
+        (io.read_admin_units, shape, GeometryError),
+        (io.read_poi, good_poi, None),
+        (io.read_poi, broken, ParseError),
+        (io.read_poi, bad_header, SchemaError),
+        (io.read_poi, line_poi, SchemaError),
+        (io.read_poi, nan_poi, ValidationError),
+    ]
+
+
+class TestCollectorPaused:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_readers_leave_the_collector_as_they_found_it(self, tmp_path, enabled):
+        was = gc.isenabled()
+        try:
+            for reader, path, error in _failing_reads(tmp_path):
+                (gc.enable if enabled else gc.disable)()
+                if error is None:
+                    assert len(reader(path)) > 0
+                else:
+                    with pytest.raises(error):
+                        reader(path)
+                assert gc.isenabled() is enabled, (reader.__name__, path.name)
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_the_collector_is_paused_while_a_reader_runs(self, data_dir, monkeypatch):
+        seen = []
+        real = io.read_text
+
+        def read_text(path):
+            seen.append(gc.isenabled())
+            return real(path)
+
+        monkeypatch.setattr(io, "read_text", read_text)
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            io.read_admin_units(data_dir / "admin.geojson")
+            io.read_poi(data_dir / "poi.geojson")
+            io.read_poi(data_dir / "poi.csv")
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False, False]
 
 
 def integral(v) -> bool:
