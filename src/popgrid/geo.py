@@ -11,9 +11,6 @@ the closed exterior minus the open interiors of its holes).
 
 A polygon holds each ring once, as read-only float64 ``(xs, ys)`` arrays
 checked with the ``as_real`` rule; ``Point`` views are built on demand.
-``polygons`` checks every ring of many polygons in one pass (coordinates,
-then distinct vertices, then a shoelace area certified from per-ring sums),
-and ``Polygon`` is its one-polygon case, so each ring rule is written once.
 
 Every kernel tests an edge with the same two expressions, ``_crossing_x``
 and ``_side``, so the two bulk membership kernels agree bit-for-bit with the
@@ -40,7 +37,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,6 +103,14 @@ class BBox:
             or other.max_y < self.min_y
         )
 
+    def union(self, other: "BBox") -> "BBox":
+        return BBox(
+            min(self.min_x, other.min_x),
+            min(self.min_y, other.min_y),
+            max(self.max_x, other.max_x),
+            max(self.max_y, other.max_y),
+        )
+
     @property
     def width(self) -> float:
         return self.max_x - self.min_x
@@ -124,11 +128,9 @@ def finite_coords(xs: Iterable, ys: Iterable) -> tuple[np.ndarray, np.ndarray]:
     arrays = [_real_array(v) for v in (xs, ys)]
     if arrays[0].shape != arrays[1].shape:
         raise ValidationError(f"coordinate arrays differ in length: {len(arrays[0])} xs, {len(arrays[1])} ys")
-    finite = np.isfinite(arrays[0])
-    finite &= np.isfinite(arrays[1])
-    if not finite.all():
-        i = int(finite.argmin())
-        Point(xs[i], ys[i])
+    bad = np.flatnonzero(~(np.isfinite(arrays[0]) & np.isfinite(arrays[1])))
+    if bad.size:
+        Point(xs[bad[0]], ys[bad[0]])
     for a in arrays:
         a.setflags(write=False)
     return arrays[0], arrays[1]
@@ -147,19 +149,20 @@ def _real_array(values: Sequence) -> np.ndarray:
     return np.fromiter(map(as_real, values), np.float64)
 
 
-def _columns(rings: list) -> tuple[list, list]:
-    """The x and y values of every vertex of ``rings``, in order; a vertex is
-    a Point or an ``[x, y]`` sequence (a list, a tuple, an array row)."""
-    vertices = rings[0] if len(rings) == 1 else list(chain.from_iterable(rings))
-    if len(vertices) and isinstance(vertices[0], Point) and set(map(type, vertices)) == {Point}:
-        return [v.x for v in vertices], [v.y for v in vertices]
+def _ring(ring: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """A ring of Points or [x, y] pairs as open (xs, ys) arrays (no repeated
+    last vertex)."""
     try:
-        return [v[0] for v in vertices], [v[1] for v in vertices]
-    except TypeError:  # a Point among other vertices, which has no index
-        return (
-            [v.x if isinstance(v, Point) else v[0] for v in vertices],
-            [v.y if isinstance(v, Point) else v[1] for v in vertices],
+        columns = [v[0] for v in ring], [v[1] for v in ring]
+    except TypeError:  # a Point, which has no index
+        columns = (
+            [v.x if isinstance(v, Point) else v[0] for v in ring],
+            [v.y if isinstance(v, Point) else v[1] for v in ring],
         )
+    xs, ys = finite_coords(*columns)
+    if len(xs) >= 2 and xs[0] == xs[-1] and ys[0] == ys[-1]:
+        return xs[:-1], ys[:-1]
+    return xs, ys
 
 
 def _distinct_up_to_3(xs: np.ndarray, ys: np.ndarray) -> int:
@@ -186,68 +189,6 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> tuple[Point, ...]:
     return tuple(map(Point, xs.tolist(), ys.tolist()))
 
 
-def _ring_name(polygons: list, r: int) -> str:
-    """The name of the ``r``-th ring of ``polygons``, counted over all of them."""
-    for rings in polygons:
-        if r < len(rings):
-            break
-        r -= len(rings)
-    return "exterior ring" if r == 0 else f"hole ring {r - 1}"
-
-
-def _checked_rings(polygons: list) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """The open ``(xs, ys)`` rings of each of ``polygons`` (each a sequence of
-    rings, exterior first), as read-only views of two shared arrays, checked
-    in one pass: every coordinate, then every ring's distinct vertices, then
-    every ring's area. The first fault in that order raises, so for one
-    polygon it is the fault ``Polygon`` names.
-
-    The shoelace terms ``t`` of every ring are computed at once, as
-    ``_ring_signed_area`` computes them, and summed per ring in sequence
-    (``reduceat``), where ``np.sum`` sums pairwise. Both sums of a ring's
-    ``m`` terms lie within ``(m - 1) * u / (1 - (m - 1) * u) * sum|t|`` of
-    their exact sum (u = 2**-53), so a sequential sum farther from zero than
-    ``m * 2**-50 * sum|t| + 2**-1021``, with ``sum|t| < 2**1020``, certifies
-    that ``np.sum`` gives the ring a finite area greater than zero. The rings
-    left are decided by ``_ring_signed_area`` itself."""
-    if not polygons:
-        return []
-    rings = [ring for rings in polygons for ring in rings]
-    xs, ys = finite_coords(*_columns(rings))
-    views, starts, sizes, wrap_from, wrap_to = [], [], [], [], []
-    start = 0
-    for size in map(len, rings):
-        end = start + size
-        n = size - (size >= 2 and xs[start] == xs[end - 1] and ys[start] == ys[end - 1])  # less a closing vertex
-        views.append((xs[start : start + n], ys[start : start + n]))
-        starts.append(start)
-        sizes.append(size)
-        # the last open vertex wraps to the first, and so does a closing vertex,
-        # whose term x*y - x*y is then zero (or NaN on overflow: undecided)
-        wrap_from += (start + n - 1, end - 1)
-        wrap_to += (start, start)
-        start = end
-    for r, (vx, vy) in enumerate(views):
-        distinct = _distinct_up_to_3(vx, vy)
-        if distinct < 3:
-            raise GeometryError(f"{_ring_name(polygons, r)} needs at least 3 distinct vertices, got {distinct}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an area that overflows is refused below
-        following = np.arange(1, xs.size + 1)
-        following[wrap_from] = wrap_to
-        t = xs * ys[following] - xs[following] * ys
-        totals = np.add.reduceat(t, starts).tolist()
-        bounds = np.add.reduceat(np.abs(t), starts).tolist()
-        for r, (total, bound, m) in enumerate(zip(totals, bounds, sizes)):
-            if bound < 2.0**1020 and abs(total) > bound * m * 2.0**-50 + 2.0**-1021:
-                continue
-            area = abs(_ring_signed_area(*views[r]))
-            if not 0.0 < area < math.inf:
-                problem = "zero area" if area == 0.0 else "an area that is not finite: its coordinates are too large"
-                raise GeometryError(f"{_ring_name(polygons, r)} has {problem}")
-    views = iter(views)
-    return [tuple(islice(views, len(rings))) for rings in polygons]
-
-
 class Polygon:
     """A simple polygon with optional holes.
 
@@ -257,11 +198,21 @@ class Polygon:
     ``(xs, ys)`` arrays, exterior first; ``exterior`` and ``holes`` build
     Point views on demand. Exterior non-self-intersection is assumed of the
     input and only checked cheaply (vertex count, finite nonzero area).
-    ``Polygon(exterior, holes)`` is ``polygons`` of one polygon.
     """
 
     def __init__(self, exterior: Sequence, holes: Sequence[Sequence] = ()):
-        (rings,) = _checked_rings([(exterior, *holes)])
+        rings = tuple(map(_ring, (exterior, *holes)))
+        names = ["exterior ring", *(f"hole ring {i}" for i in range(len(rings) - 1))]
+        for name, (xs, ys) in zip(names, rings):
+            distinct = _distinct_up_to_3(xs, ys)
+            if distinct < 3:
+                raise GeometryError(f"{name} needs at least 3 distinct vertices, got {distinct}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an area that overflows is refused below
+            areas = [abs(_ring_signed_area(xs, ys)) for xs, ys in rings]
+        for name, area in zip(names, areas):
+            if not 0.0 < area < math.inf:
+                problem = "zero area" if area == 0.0 else "an area that is not finite: its coordinates are too large"
+                raise GeometryError(f"{name} has {problem}")
         self.rings: tuple[tuple[np.ndarray, np.ndarray], ...] = rings
 
     def __eq__(self, other: object) -> bool:
@@ -299,37 +250,16 @@ class Polygon:
         return a
 
 
-def polygons(rings_per_polygon: Iterable[Sequence[Sequence]]) -> list[Polygon]:
-    """``Polygon(rings[0], rings[1:])`` for each ``rings`` of
-    ``rings_per_polygon``, every ring of every polygon checked in one pass
-    and held as views of two shared arrays. On a refusal the polygons are
-    built again one at a time, in order, so the error is the one the first
-    refused polygon's ``Polygon`` raises."""
-    given = [tuple(rings) for rings in rings_per_polygon]
-    if not all(given):
-        raise ValidationError(f"polygon #{given.index(())} has no exterior ring")
-    try:
-        checked = _checked_rings(given)
-    except ValidationError:
-        for rings in given:
-            Polygon(rings[0], rings[1:])
-        raise
-    built = []
-    for rings in checked:
-        polygon = Polygon.__new__(Polygon)
-        polygon.rings = rings
-        built.append(polygon)
-    return built
-
-
-def _box_ring(min_x: float, min_y: float, max_x: float, max_y: float) -> tuple:
-    """The counter-clockwise ring of an axis-aligned rectangle, open."""
-    return ((min_x, min_y), (max_x, min_y), (max_x, max_y), (min_x, max_y))
-
-
 def rectangle(min_x: float, min_y: float, max_x: float, max_y: float) -> Polygon:
     """Axis-aligned rectangle polygon (counter-clockwise)."""
-    return Polygon(_box_ring(min_x, min_y, max_x, max_y))
+    return Polygon(
+        exterior=(
+            Point(min_x, min_y),
+            Point(max_x, min_y),
+            Point(max_x, max_y),
+            Point(min_x, max_y),
+        )
+    )
 
 
 def _crossing_x(x1, y1, dx, dy, py):
@@ -430,11 +360,12 @@ def points_in_any(pxs: np.ndarray, pys: np.ndarray, parts: Sequence[Polygon]) ->
 
 
 def parts_bbox(parts: Sequence[Polygon]) -> BBox:
-    """The bounding box of the exteriors of ``parts``, taken over all of them at once."""
     if not parts:
         raise ValidationError("no polygons to take a bounding box of")
-    xs, ys = (np.concatenate([part.rings[0][i] for part in parts]) for i in (0, 1))
-    return BBox(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+    box = parts[0].bbox
+    for part in parts[1:]:
+        box = box.union(part.bbox)
+    return box
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,12 @@ and ``read_admin_units`` also rejects degree-like coordinates in a collection
 declaring no meter units.
 GeoJSON readers check structure only: a ring or the POI file's position
 column is an array of positions, each an array of at least two values. The
-coordinates go to ``geo.polygons`` and ``PoiSet``, whose
-``geo.finite_coords`` is the one check of a coordinate; only a refused
-input is walked again, to name its first fault. ``read_admin_units`` checks
-each feature's properties and ring structure in file order and then builds
-every ring of the file in one ``geo.polygons`` pass; a fault its loop finds
-is raised only after the rings read before it have been built, so the
-fault named is the one a feature-at-a-time read would meet first. Both
-readers pause the cyclic garbage collector for their whole body (a decoded
-JSON document is a tree that reference counting frees) and restore it as
-they found it. Writers format the arrays those types hold (``Polygon.rings``,
+coordinates go to ``Polygon`` and ``PoiSet``, whose ``geo.finite_coords``
+is the one check of a coordinate; only a refused input is walked again, to
+name its first fault. Both readers pause the cyclic garbage collector,
+process-wide, for their whole body (a decoded JSON document is a tree that
+reference counting frees) and re-enable it on return if it was enabled when
+they began. Writers format the arrays those types hold (``Polygon.rings``,
 ``PoiSet.xs``/``ys``) from ``tolist()``.
 
 ESRI ASCII grids are read a line at a time, never holding a string per cell:
@@ -77,7 +73,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .geo import BBox, Polygon, TileGrid, _require_finite, as_real, parts_bbox, polygons
+from .geo import BBox, Polygon, TileGrid, _require_finite, as_real, parts_bbox
 from .poi_filter import PoiSet, TileMask
 
 _ASCII_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -107,14 +103,6 @@ class AdminLevel(str, Enum):
             ) from None
 
 
-def _population(unit_id: str, value: object) -> float:
-    """An admin unit's population under the ``as_real`` rule: finite and not negative."""
-    population = as_real(value)
-    if not math.isfinite(population) or population < 0:
-        raise ValidationError(f"admin unit {unit_id!r} has invalid population {value!r}")
-    return population
-
-
 @dataclass(frozen=True)
 class AdminUnit:
     """A census polygon (possibly multi-part) carrying a population count."""
@@ -128,7 +116,10 @@ class AdminUnit:
         object.__setattr__(self, "geometry", tuple(self.geometry))
         if not self.geometry:
             raise ValidationError(f"admin unit {self.id!r} has no geometry")
-        object.__setattr__(self, "population", _population(self.id, self.population))
+        pop = as_real(self.population)
+        if not math.isfinite(pop) or pop < 0:
+            raise ValidationError(f"admin unit {self.id!r} has invalid population {self.population!r}")
+        object.__setattr__(self, "population", pop)
 
     @cached_property
     def bbox(self) -> BBox:
@@ -250,7 +241,9 @@ def _collector_paused() -> Iterator[None]:
     JSON document is a tree, freed by reference counting, in which a
     collection could free nothing but would walk every node. As a decorator
     it spans the whole call, so a reader's locals, the document among them,
-    are freed before the collector runs again."""
+    are freed before the collector runs again. The pause is process-wide,
+    so it also holds other threads' collections, and it may end another
+    reader's pause or undo a ``gc.disable()`` made during the call."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -341,52 +334,34 @@ def _is_position_array(values: object) -> bool:
     return min(map(len, values), default=2) >= 2
 
 
-def _ring_array(rings: object, where: str) -> list:
-    """GeoJSON Polygon ``rings`` with their structure checked: a non-empty
-    array of rings, each an array of positions. Their coordinates and shapes
-    are ``Polygon``'s to check; on a structure fault the positions are walked
-    in order, to name the first fault of either kind."""
+def _polygon_from_rings(rings: object, where: str) -> Polygon:
+    """The Polygon of GeoJSON ``rings``: io checks their structure, ``Polygon`` the rest."""
     if not isinstance(rings, list) or not rings:
         raise SchemaError(f"{where}: Polygon coordinates must be a non-empty ring array")
     if not all(map(_is_position_array, rings)):
-        for ring in rings:
+        for ring in rings:  # name the first fault, of structure or of a coordinate
             if not isinstance(ring, list):
                 raise SchemaError(f"{where}: ring must be an array of positions")
             for position in ring:
                 _coord_pair(position, where)
-    return rings
+    try:
+        return Polygon(exterior=rings[0], holes=rings[1:])
+    except ValidationError as e:  # a GeometryError keeps its type
+        raise type(e)(f"{where}: {e}") from None
 
 
-def _part_rings(geom: object, where: str) -> Iterator[list]:
-    """The structure-checked rings of each part of a feature's geometry, in
-    order, each yielded before the next part is checked."""
+def _geometry_parts(geom: object, where: str) -> tuple[Polygon, ...]:
     if not isinstance(geom, dict):
         raise SchemaError(f"{where}: feature has no geometry object")
     gtype = geom.get("type")
     coords = geom.get("coordinates")
     if gtype == "Polygon":
-        yield _ring_array(coords, where)
-    elif gtype == "MultiPolygon":
+        return (_polygon_from_rings(coords, where),)
+    if gtype == "MultiPolygon":
         if not isinstance(coords, list) or not coords:
             raise SchemaError(f"{where}: MultiPolygon coordinates must be a non-empty array")
-        for rings in coords:
-            yield _ring_array(rings, where)
-    else:
-        raise SchemaError(f"{where}: unsupported geometry type {gtype!r} (expected Polygon/MultiPolygon)")
-
-
-def _polygons(rings_per_polygon: list, wheres: list[str]) -> list[Polygon]:
-    """``geo.polygons`` of the checked GeoJSON rings; a refusal names the
-    ``where`` of the first refused polygon."""
-    try:
-        return polygons(rings_per_polygon)
-    except ValidationError:
-        for rings, where in zip(rings_per_polygon, wheres):
-            try:
-                Polygon(rings[0], rings[1:])
-            except ValidationError as e:  # a GeometryError keeps its type
-                raise type(e)(f"{where}: {e}") from None
-        raise
+        return tuple(_polygon_from_rings(rings, where) for rings in coords)
+    raise SchemaError(f"{where}: unsupported geometry type {gtype!r} (expected Polygon/MultiPolygon)")
 
 
 def _required_property(props: object, key: str, where: str) -> object:
@@ -409,47 +384,33 @@ def read_admin_units(path: str | Path, expected_level: AdminLevel | str = AdminL
     _reject_geographic(doc, path)
     if not isinstance(expected_level, AdminLevel):
         expected_level = AdminLevel.parse(expected_level)
-    # each feature's properties and ring structure are checked in file
-    # order; its rings are built with every other feature's, after the loop
-    found: list[tuple[str, AdminLevel, object, int]] = []
-    parts: list[list] = []  # the rings of each part
-    wheres: list[str] = []
+    units: list[AdminUnit] = []
     seen_ids: set[str] = set()
-    try:
-        for i, feat in enumerate(_features(doc, path)):
-            if not isinstance(feat, dict):
-                raise SchemaError(f"{path}: feature #{i} is not an object")
-            props = feat.get("properties")
-            raw_id = _required_property(props, "id", f"{path}: feature #{i}")
-            if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
-                raise SchemaError(f"{path}: feature #{i}: id {raw_id!r} is not a string or an integer")
-            fid = str(raw_id)
-            where = f"{path}: feature {fid!r}"
-            level = AdminLevel.parse(_required_property(props, "level", where))
-            if level != expected_level:
-                raise LevelMismatchError(
-                    f"{where}: level {level.value!r} does not match expected {expected_level.value!r}"
-                )
-            population = _required_property(props, "population", where)
-            if isinstance(population, bool) or not isinstance(population, (int, float)):
-                raise SchemaError(f"{where}: population {population!r} is not a number")
-            if fid in seen_ids:
-                raise ValidationError(f"{where}: duplicate admin unit id")
-            seen_ids.add(fid)
-            first_part = len(parts)
-            for rings in _part_rings(feat.get("geometry"), where):
-                parts.append(rings)
-                wheres.append(where)
-            try:
-                _population(fid, population)
-            except ValidationError as e:
-                raise ValidationError(f"{where}: {e}") from None
-            found.append((fid, level, population, len(parts) - first_part))
-    except PopgridError:
-        _polygons(parts, wheres)  # a fault in a ring read earlier is named first
-        raise
-    built = iter(_polygons(parts, wheres))
-    units = [AdminUnit(fid, level, tuple(islice(built, n)), population) for fid, level, population, n in found]
+    for i, feat in enumerate(_features(doc, path)):
+        if not isinstance(feat, dict):
+            raise SchemaError(f"{path}: feature #{i} is not an object")
+        props = feat.get("properties")
+        raw_id = _required_property(props, "id", f"{path}: feature #{i}")
+        if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
+            raise SchemaError(f"{path}: feature #{i}: id {raw_id!r} is not a string or an integer")
+        fid = str(raw_id)
+        where = f"{path}: feature {fid!r}"
+        level = AdminLevel.parse(_required_property(props, "level", where))
+        if level != expected_level:
+            raise LevelMismatchError(
+                f"{where}: level {level.value!r} does not match expected {expected_level.value!r}"
+            )
+        population = _required_property(props, "population", where)
+        if isinstance(population, bool) or not isinstance(population, (int, float)):
+            raise SchemaError(f"{where}: population {population!r} is not a number")
+        if fid in seen_ids:
+            raise ValidationError(f"{where}: duplicate admin unit id")
+        seen_ids.add(fid)
+        geometry = _geometry_parts(feat.get("geometry"), where)
+        try:
+            units.append(AdminUnit(id=fid, level=level, geometry=geometry, population=population))
+        except ValidationError as e:
+            raise ValidationError(f"{where}: {e}") from None
     _reject_geographic(doc, path, units)
     return units
 

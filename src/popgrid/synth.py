@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, GenerationError, ValidationError
-from .geo import BBox, TileGrid, _box_ring, _require_finite, polygons
+from .geo import BBox, TileGrid, _require_finite, rectangle
 from .io import (
     AdminLevel,
     AdminUnit,
@@ -294,12 +294,14 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
         populations.append(target)
 
     x0, y0, ts = grid.origin_x, grid.origin_y, spec.tile_size
-    parts = polygons(
-        [_box_ring(x0 + c0 * ts, y0 + r0 * ts, x0 + (c0 + w) * ts, y0 + (r0 + h) * ts)] for c0, r0, w, h in rects
-    )
     units = tuple(
-        AdminUnit(id=f"u{k:03d}", level=AdminLevel.CIRCLE, geometry=(part,), population=population)
-        for k, (part, population) in enumerate(zip(parts, populations))
+        AdminUnit(
+            id=f"u{k:03d}",
+            level=AdminLevel.CIRCLE,
+            geometry=(rectangle(x0 + c0 * ts, y0 + r0 * ts, x0 + (c0 + w) * ts, y0 + (r0 + h) * ts),),
+            population=population,
+        )
+        for k, ((c0, r0, w, h), population) in enumerate(zip(rects, populations))
     )
 
     pixels = TileGrid(grid.origin_x, grid.origin_y, pcols, prows, spec.pixel_size)

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from popgrid import geo
 from popgrid.errors import GeometryError, ValidationError
 from popgrid.geo import (
     _ON_EDGE_CHUNK,
-    _ring_signed_area,
     BBox,
     Point,
     Polygon,
@@ -24,7 +22,6 @@ from popgrid.geo import (
     point_in_any,
     point_in_polygon,
     points_in_polygon,
-    polygons,
     rectangle,
     representative_point,
     tile_centers_in_parts,
@@ -313,18 +310,18 @@ def rings_outcome(call):
         return type(e), str(e)
 
 
-_bulk_value = st.sampled_from([0, 1, 2, 3, -0.0, 0.0, 0.5, 7.25]) | st.integers(-50, 50) | st.floats(-100, 100)
-_bulk_refused = st.sampled_from(["x", True, math.nan, math.inf, 2**1100])
+_ring_value = st.sampled_from([0, 1, 2, 3, -0.0, 0.0, 0.5, 7.25]) | st.integers(-50, 50) | st.floats(-100, 100)
+_ring_refused = st.sampled_from(["x", True, math.nan, math.inf, 2**1100])
 
 
 @st.composite
-def bulk_ring(draw):
+def ring_form(draw):
     """A ring in one of the forms ``Polygon`` takes, closed or open: most
     often a random one, else one with 2 distinct vertices, a collinear one, one
     scaled by 1e160 (an area past the float range) or a near-degenerate one
     at an offset around 1e15; now and then with a refused coordinate."""
     kind = draw(st.sampled_from(["random", "random", "two", "collinear", "huge", "offset"]))
-    pair = st.tuples(_bulk_value, _bulk_value)
+    pair = st.tuples(_ring_value, _ring_value)
     if kind == "two":
         a, b = draw(pair), draw(pair)
         ring = [draw(st.sampled_from([a, b])) for _ in range(draw(st.integers(2, 6)))]
@@ -342,7 +339,7 @@ def bulk_ring(draw):
     refused = bool(ring) and draw(st.integers(0, 9)) == 0
     if refused:
         i, j = draw(st.integers(0, len(ring) - 1)), draw(st.integers(0, 1))
-        ring[i] = tuple(draw(_bulk_refused) if k == j else v for k, v in enumerate(ring[i]))
+        ring[i] = tuple(draw(_ring_refused) if k == j else v for k, v in enumerate(ring[i]))
     if ring and draw(st.booleans()):
         x, y = ring[0]
         ring.append((-x if x == 0 and type(x) is float else x, y))  # closing, -0.0 for 0.0
@@ -357,75 +354,15 @@ def bulk_ring(draw):
     return ring
 
 
-class TestBulkPolygons:
-    """``polygons`` gives, for many polygons at once, the arrays that
-    ``Polygon`` gives one at a time, and for a refusal the first refused
-    polygon's error."""
+class TestPolygonRings:
+    """``Polygon`` gives, for a ring in any form it takes, the arrays or the
+    first error of a value-at-a-time reference."""
 
     @settings(max_examples=400, deadline=None)
-    @given(rings_per_polygon=st.lists(st.lists(bulk_ring(), min_size=1, max_size=3), min_size=1, max_size=4))
-    def test_bulk_equals_one_polygon_at_a_time(self, rings_per_polygon):
-        expected = rings_outcome(lambda: [reference_rings(rings) for rings in rings_per_polygon])
-        one_at_a_time = rings_outcome(lambda: [Polygon(r[0], r[1:]).rings for r in rings_per_polygon])
-        bulk = rings_outcome(lambda: [p.rings for p in polygons(rings_per_polygon)])
-        assert one_at_a_time == expected
-        assert bulk == expected
-
-    @pytest.mark.parametrize(
-        "xs, ys, error",
-        [
-            # reduceat sums these terms to 0.0 and np.sum to 0.000183: a sliver np.sum accepts
-            (
-                [188129.8, -1724.9, 13548039.4, -0.2, -2290405.5, 0.1, -2290405.5, -0.2, 13548039.4, -1724.9],
-                [47440187.2, 454317.9, 488756.2, 0.0, 11.5, 0.0, 11.5, 0.0, 488756.2, 454317.9],
-                None,
-            ),
-            # reduceat sums these to 7.8e-05 and np.sum to 0.0: zero area
-            (
-                [-0.0, 194.2, 791.9, -327456.0, -21.4, -327456.0, 791.9, 194.2],
-                [-0.2, 142505.9, -18.9, 15.3, 10092537.6, 15.3, -18.9, 142505.9],
-                "exterior ring has zero area",
-            ),
-        ],
-    )
-    def test_a_ring_whose_sequential_and_pairwise_sums_disagree_takes_the_fallback(self, monkeypatch, xs, ys, error):
-        xs, ys = np.array(xs), np.array(ys)
-        terms = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
-        assert (np.add.reduceat(terms, [0])[0] == 0.0) != (np.sum(terms) == 0.0)
-        decided = []
-
-        def spy(rx, ry):
-            decided.append(rx)
-            return _ring_signed_area(rx, ry)
-
-        monkeypatch.setattr(geo, "_ring_signed_area", spy)
-        ring = list(zip(xs.tolist(), ys.tolist()))
-        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        for build in (lambda: [Polygon(ring)], lambda: polygons([[square], [ring]])[1:]):
-            decided.clear()
-            if error is None:
-                (poly,) = build()
-                assert poly.rings[0][0].tobytes() == xs.tobytes() and poly.rings[0][1].tobytes() == ys.tobytes()
-            else:
-                with pytest.raises(GeometryError, match=f"^{error}$"):
-                    build()
-            # the certified square is not decided again; a refusal is built twice, in bulk and on its own
-            assert decided and {rx.tobytes() for rx in decided} == {xs.tobytes()}
-
-    def test_polygons_hold_read_only_views_of_shared_arrays(self):
-        built = polygons([[[(0, 0), (4, 0), (4, 4), (0, 0)]], [[(0, 0), (9, 0), (9, 9)], [(1, 1), (2, 1), (2, 2)]]])
-        arrays = [a for poly in built for ring in poly.rings for a in ring]
-        assert all(not a.flags.writeable for a in arrays)
-        assert len({id(a.base) for a in arrays}) == 2
-        with pytest.raises(ValueError):
-            arrays[0][0] = 1.0
-
-    def test_a_polygon_with_no_ring_is_refused(self):
-        with pytest.raises(ValidationError, match="polygon #1 has no exterior ring"):
-            polygons([[[(0, 0), (1, 0), (1, 1)]], []])
-
-    def test_no_polygons(self):
-        assert polygons([]) == []
+    @given(rings=st.lists(ring_form(), min_size=1, max_size=3))
+    def test_polygon_equals_the_value_at_a_time_reference(self, rings):
+        expected = rings_outcome(lambda: [reference_rings(rings)])
+        assert rings_outcome(lambda: [Polygon(rings[0], rings[1:]).rings]) == expected
 
 
 class TestPointInPolygon:

@@ -664,10 +664,9 @@ _ADMIN_FAULTS = {
 
 
 class TestAdminFaultOrder:
-    """``read_admin_units`` builds every ring in one pass after its loop over
-    the features, and still names the fault a feature-at-a-time read meets
-    first: each feature's properties, then its geometry, then its population
-    value, then the next feature."""
+    """Of two faults in an admin file, ``read_admin_units`` names the one it
+    meets first reading a feature at a time: each feature's properties, then
+    its geometry, then its population value, then the next feature."""
 
     @pytest.mark.parametrize("second", sorted(_ADMIN_FAULTS))
     @pytest.mark.parametrize("first", sorted(_ADMIN_FAULTS))
