@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from . import disaggregate, evaluate, io, render, synth
-from .errors import AlignmentError, ConfigurationError, ParameterError, PopgridError, ValidationError
+from .errors import AlignmentError, ConfigurationError, ParameterError, ParseError, PopgridError, ValidationError
 from .geo import BBox, TileGrid, as_real, parts_bbox
 from .poi_filter import compute_tile_mask
 
@@ -57,11 +57,9 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if config_path:
         text = io.read_text(config_path)
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"{config_path}: invalid JSON config ({e.msg})") from None
-        except ValueError as e:  # an integer literal past Python's int-to-str digit limit
-            raise ConfigurationError(f"{config_path}: invalid JSON config ({e})") from None
+            raw = io.decode_json(text)
+        except ParseError as e:
+            raise ConfigurationError(f"{config_path}: invalid JSON config ({e.reason})") from None
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{config_path}: a config file must hold a JSON object")
         known = {f.name for f in fields(PipelineConfig)}

@@ -15,11 +15,12 @@ class PopgridError(Exception):
 class ParseError(PopgridError):
     """A file could not be parsed at all (malformed JSON, unreadable text).
 
-    Carries ``line`` and ``column`` (1-based) when the underlying parser
-    provides them.
+    Carries the ``reason`` it was given, and ``line`` and ``column``
+    (1-based) when the underlying parser provides them.
     """
 
     def __init__(self, message: str, *, line: int | None = None, column: int | None = None):
+        self.reason = message
         if line is not None:
             message = f"{message} (line {line}" + (f", column {column})" if column is not None else ")")
         super().__init__(message)

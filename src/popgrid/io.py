@@ -16,11 +16,13 @@ member ``"coordinate_units": "meters"``; readers reject collections whose
 ``crs``/``coordinate_units`` member declares a geographic (degree) system,
 and ``read_admin_units`` also rejects degree-like coordinates in a collection
 declaring no meter units.
-GeoJSON readers check structure only: a ring or the POI file's position
-column is an array of positions, each an array of at least two values. The
-coordinates go to ``Polygon`` and ``PoiSet``, whose ``geo.finite_coords``
-is the one check of a coordinate; only a refused input is walked again, to
-name its first fault. Both readers pause the cyclic garbage collector,
+GeoJSON readers check structure only: a ring is an array of positions,
+each an array of at least two values. Both POI formats are read by one
+record walk: a GeoJSON feature or a CSV row at a time, each checked for
+structure, into columns that ``PoiSet`` takes once. The coordinates go to
+``Polygon`` and ``PoiSet``, whose ``geo.finite_coords`` is the one check of
+a coordinate; only a refused input is walked again, to name its first
+fault. Both GeoJSON readers pause the cyclic garbage collector,
 process-wide, for their whole body (a decoded JSON document is a tree that
 reference counting frees) and re-enable it on return if it was enabled when
 they began. Writers format the arrays those types hold (``Polygon.rings``,
@@ -51,12 +53,12 @@ import math
 import os
 import re
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -265,17 +267,28 @@ def read_text(path: str | Path) -> str:
         raise FormatError(f"{path}: not UTF-8 text: byte {data[e.start]:#04x} at offset {e.start}") from None
 
 
-def _json_object(text: str, path: str | Path) -> dict:
-    """The JSON object ``text`` read from ``path``; a parse error gives the
-    line and column it would in the file with CR and CRLF read as LF."""
+def decode_json(text: str) -> object:
+    """The JSON value of ``text``, CR and CRLF read as LF. Text json refuses
+    (malformed, an integer past the int-to-str digit limit, or nested past
+    the recursion limit) is a ``ParseError`` giving the decoder's reason."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e.msg}", line=e.lineno, column=e.colno) from None
-    except ValueError as e:  # an integer literal past Python's int-to-str digit limit
-        raise ParseError(f"{path}: {e}") from None
+        raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except ValueError as e:  # an integer literal past the digit limit
+        raise ParseError(str(e)) from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
+
+
+def _json_object(text: str, path: str | Path) -> dict:
+    """The JSON object ``text`` read from ``path``."""
+    try:
+        doc = decode_json(text)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e.reason}", line=e.line, column=e.column) from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -458,81 +471,72 @@ def read_poi(path: str | Path) -> PoiSet:
         doc = _json_object(text, path)
         del text  # not held while the features are walked
         _reject_geographic(doc, path)
-        feats = _features(doc, path)
-        pois = _poi_columns(feats)
-        return pois if pois is not None else _poi_features(feats, str(path))
-    return _poi_csv(text, path)
+        where = f"{path}: feature #"
+        return _poi_set(_poi_features(_features(doc, path), where), where)
+    return _poi_set(_poi_csv(text, path), f"{path}: row ")
 
 
-def _poi_columns(feats: list) -> PoiSet | None:
-    """The POIs of ``feats`` with each rule of ``_poi_features`` checked on a
-    column of all features at once; None when any feature is refused."""
-    if not set(map(type, feats)) <= {dict}:
-        return None
-    geoms = list(map(dict.get, feats, repeat("geometry")))
-    if not set(map(type, geoms)) <= {dict}:
-        return None
-    # counted, not put in a set: a type may be a list, which does not hash
-    if list(map(dict.get, geoms, repeat("type"))).count("Point") != len(geoms):
-        return None
-    positions = list(map(dict.get, geoms, repeat("coordinates")))
-    if not _is_position_array(positions):
-        return None
-    props = list(map(dict.get, feats, repeat("properties")))
-    if not set(map(type, props)) <= {dict, type(None)}:
-        return None
-    categories = [None if p is None else p.get("category") for p in props]
-    categories = ["" if c is None else c for c in categories]
+def _poi_set(records: Iterable[tuple[int, object, object, str]], where: str) -> PoiSet:
+    """The POIs of ``records``, (number, x, y, category) each, whose
+    coordinates ``PoiSet`` checks once; on any fault the records read so far
+    are walked again, so that an earlier refused coordinate is named first."""
+    numbers, xs, ys, categories = array("q"), [], [], []  # an array holds no int object per record
     try:
-        return PoiSet(list(map(itemgetter(0), positions)), list(map(itemgetter(1), positions)), categories)
-    except ValidationError:  # a refused coordinate or category
-        return None
+        for number, x, y, category in records:
+            numbers.append(number)
+            xs.append(x)
+            ys.append(y)
+            categories.append(category)
+        return PoiSet(xs, ys, categories)
+    except PopgridError:
+        for number, x, y in zip(numbers, xs, ys):
+            _finite_pair(x, y, f"{where}{number}")
+        raise
 
 
-def _poi_features(feats: list, name: str) -> PoiSet:
-    """The POIs of ``feats``, checked a feature at a time: the definition of
-    an accepted feature and of the error naming the first refused one."""
-    xs, ys, categories = [], [], []
+def _poi_features(feats: list, where: str) -> Iterator[tuple[int, object, object, str]]:
+    """The records of the POI ``feats``, each checked for structure only: an
+    object with a Point at a position of at least two values, and properties
+    an object or null whose category is a string or null. A feature's own
+    refused coordinate is named before its properties or category."""
     for i, feat in enumerate(feats):
         if not isinstance(feat, dict):
-            raise SchemaError(f"{name}: feature #{i} is not an object")
+            raise SchemaError(f"{where}{i} is not an object")
         geom = feat.get("geometry")
-        if not isinstance(geom, dict) or geom.get("type") != "Point":
-            got = geom.get("type") if isinstance(geom, dict) else None
-            raise SchemaError(f"{name}: feature #{i}: POI geometry must be Point, got {got!r}")
-        x, y = _coord_pair(geom.get("coordinates"), f"{name}: feature #{i}")
+        got = geom.get("type") if isinstance(geom, dict) else None
+        if got != "Point":
+            raise SchemaError(f"{where}{i}: POI geometry must be Point, got {got!r}")
+        position = geom.get("coordinates")
+        if not isinstance(position, list) or len(position) < 2:
+            _coord_pair(position, f"{where}{i}")  # raises its structure error
+        x, y = position[0], position[1]
         props = feat.get("properties")
-        if props is None:
-            props = {}
-        elif not isinstance(props, dict):
-            raise SchemaError(f"{name}: feature #{i}: properties must be an object or null, got {props!r}")
-        category = props.get("category")
-        if category is not None and not isinstance(category, str):
-            raise SchemaError(f"{name}: feature #{i}: category must be a string or null, got {category!r}")
-        xs.append(x)
-        ys.append(y)
-        categories.append(category or "")
-    return PoiSet(xs, ys, categories)
+        category = props.get("category") if isinstance(props, dict) else None
+        if not isinstance(props, (dict, type(None))) or not isinstance(category, (str, type(None))):
+            _finite_pair(x, y, f"{where}{i}")
+            if not isinstance(props, dict):
+                raise SchemaError(f"{where}{i}: properties must be an object or null, got {props!r}")
+            raise SchemaError(f"{where}{i}: category must be a string or null, got {category!r}")
+        yield i, x, y, category or ""
 
 
-def _poi_csv(text: str, path: str | Path) -> PoiSet:
-    """The POIs of the CSV ``text`` read from ``path``, split into records as
-    a file opened with ``newline=""`` is: lines end at ``\r\n``, ``\r`` or
-    ``\n`` and keep their ends, and are taken one at a time, not copied.
-    The coordinates are checked once, as columns, by ``PoiSet``; the rows are
-    walked again only on a fault, to name the first row refused."""
-    reader = csv.reader(m.group() for m in re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z", text))
+def _poi_csv(text: str, path: str | Path) -> Iterator[tuple[int, float, float, str]]:
+    """The records of the POI CSV ``text`` read from ``path``, split as a
+    file opened with ``newline=""`` is: lines end at ``\r\n``, ``\r`` or
+    ``\n`` and keep their ends, and are taken one at a time, not copied. A
+    row the csv module refuses (a field past its length limit) is a
+    ``ParseError`` naming the row."""
+    rows = enumerate(csv.reader(m.group() for m in re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z", text)))
+    row_no = -1  # the row read last; the header is row 0, and blank rows count
     try:
-        header = next(reader)
-    except StopIteration:
-        return PoiSet()
-    header = [h.strip().lower() for h in header]
-    if header[:2] != ["x", "y"]:
-        raise SchemaError(f"{path}: expected CSV header x,y[,category], got {header}")
-    has_category = len(header) > 2 and header[2] == "category"
-    xs, ys, categories, rows = [], [], [], []
-    try:
-        for row_no, row in enumerate(reader, start=1):
+        row_no, header = next(rows, (0, None))
+        if header is None:
+            return
+        header = [h.strip().lower() for h in header]
+        if header[:2] != ["x", "y"]:
+            raise SchemaError(f"{path}: expected CSV header x,y[,category], got {header}")
+        has_category = len(header) > 2 and header[2] == "category"
+        for row_no, row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < 2:
@@ -542,16 +546,9 @@ def _poi_csv(text: str, path: str | Path) -> PoiSet:
                 y = float(row[1])
             except ValueError:
                 raise ValidationError(f"{path}: row {row_no}: unparseable coordinate {row[:2]!r}") from None
-            xs.append(x)
-            ys.append(y)
-            rows.append(row_no)
-            categories.append(row[2].strip() if has_category and len(row) > 2 else "")
-        return PoiSet(xs, ys, categories)
-    except (PopgridError, csv.Error):
-        # the first row whose coordinates are refused, if any, is named first
-        for x, y, row_no in zip(xs, ys, rows):
-            _finite_pair(x, y, f"{path}: row {row_no}")
-        raise
+            yield row_no, x, y, row[2].strip() if has_category and len(row) > 2 else ""
+    except csv.Error as e:
+        raise ParseError(f"{path}: row {row_no + 1}: {e}") from None
 
 
 def write_poi_csv(pois: PoiSet, path: str | Path) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -66,6 +67,8 @@ class ScenarioSpec:
     n_scattered_pois: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**128:
+            raise ValidationError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")  # a Philox key
         for name in ("tile_size", "pixel_size"):
             _require_finite(getattr(self, name), f"ScenarioSpec.{name}")
         for name in ("built_fraction_range", "population_range"):

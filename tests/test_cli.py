@@ -125,6 +125,36 @@ class TestValidate:
         assert rc == 2
         assert f"SchemaError: {bad}: feature #1: properties must be an object or null" in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_csv_field_past_the_csv_limit_exits_two(self, tmp_path, scenario, capsys, command):
+        bad = tmp_path / "big.csv"
+        bad.write_text("x,y,category\n100,100," + "c" * 200_000 + "\n")
+        if command == "validate":
+            rc = main(["validate", "--poi", str(bad)])
+        else:
+            rc = run_pipeline({**scenario, "poi": str(bad)}, tmp_path / "out")
+            assert not (tmp_path / "out").exists()
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"ParseError: {bad}: row 1: field larger than field limit" in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("given", ["--admin", "--poi", "--config"])
+    def test_json_nested_too_deeply_exits_two(self, tmp_path, scenario, capsys, given):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"features": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        if given == "--config":
+            rc = run_pipeline(scenario, tmp_path / "out", "--config", str(bad))
+            assert not (tmp_path / "out").exists()
+            expected = f"ConfigurationError: {bad}: invalid JSON config (arrays or objects nested too deeply)"
+        else:
+            rc = main(["validate", given, str(bad)])
+            expected = f"ParseError: {bad}: arrays or objects nested too deeply"
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert expected in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
     def test_population_past_the_int_digit_limit_exits_two(self, tmp_path, scenario, capsys):
         # json.loads refuses an integer literal of over 4300 digits with a
         # plain ValueError, not a JSONDecodeError
@@ -1308,6 +1338,12 @@ class TestSynthCommand:
     def test_non_finite_size_or_range_exits_two(self, tmp_path, capsys, flag, value):
         assert main(["synth", "--seed", "1", "--out", str(tmp_path / "x"), flag, value]) == 2
         assert "ERROR: ValidationError: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_the_philox_key_range_exits_two(self, tmp_path, capsys, seed):
+        assert main(["synth", "--seed", seed, "--out", str(tmp_path / "x")]) == 2
+        assert f"ERROR: ValidationError: seed must be an integer in [0, 2**128), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("extent", ["1e300", "1e6"])

@@ -328,15 +328,31 @@ class TestReadPoi:
             ("1e400,2,b", "Point.x must be a finite real number, got inf"),
         ],
     )
-    @pytest.mark.parametrize("later_row", ["5,6,c", "abc,6,c", "5"])
+    @pytest.mark.parametrize("later_row", ["5,6,c", "abc,6,c", "5", pytest.param("5,6," + "c" * 200_000, id="oversized")])
     def test_a_coordinate_that_is_not_finite_names_its_row(self, tmp_path, bad_row, message, later_row):
-        # the blank line is counted as a row; a later unparseable or short row is not reached
+        # the blank line is counted as a row; a later unparseable, short or
+        # oversized row is not reached
         p = tmp_path / "p.csv"
         p.write_text(f"x,y,category\n1,2,a\n\n{bad_row}\n{later_row}\n")
         with pytest.raises(ValidationError) as e:
             io.read_poi(p)
         assert type(e.value) is ValidationError
         assert str(e.value) == f"{p}: row 3: {message}"
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("x,y,category\n1,2,a\n\n3,4," + "c" * 200_000 + "\n", 3),
+            ("x,y," + "c" * 200_000 + "\n1,2,a\n", 0),  # the header is row 0
+        ],
+        ids=["row", "header"],
+    )
+    def test_a_field_past_the_csv_limit_is_a_parse_error(self, tmp_path, text, row):
+        p = tmp_path / "p.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as e:
+            io.read_poi(p)
+        assert str(e.value) == f"{p}: row {row}: field larger than field limit ({csv.field_size_limit()})"
 
     def test_bad_coordinate_row(self, tmp_path):
         p = tmp_path / "b.csv"
@@ -468,7 +484,7 @@ def ring_bytes(polygons) -> list[bytes]:
 
 
 class TestBulkIngest:
-    """Both GeoJSON readers check a position column in bulk; they accept what
+    """Both GeoJSON readers check their coordinates in bulk; they accept what
     ``_coord_pair`` accepts, giving the same bits, and refuse with its error
     for the first refused position."""
 
@@ -530,6 +546,9 @@ class TestBulkIngest:
             ("geometry", "coordinate", SchemaError, "POI geometry must be Point, got 'LineString'"),
             ("properties", "coordinate", SchemaError, "properties must be an object or null, got []"),
             ("category", "geometry", SchemaError, "category must be a string or null, got 5"),
+            # two faults of one feature: its coordinate is named first
+            ("coordinate", "properties", ValidationError, "Point.x must be a finite real number, got '1'"),
+            ("coordinate", "category", ValidationError, "Point.x must be a finite real number, got '1'"),
         ],
     )
     def test_the_earlier_of_two_poi_faults_is_reported(self, tmp_path, first, second, error, message):
@@ -544,7 +563,7 @@ class TestBulkIngest:
             for i in range(10)
         ]
         faults[first](features[3])
-        faults[second](features[7])
+        faults[second](features[3 if second in ("properties", "category") else 7])
         p = tmp_path / "two.geojson"
         p.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
         with pytest.raises(error) as e:
@@ -568,16 +587,13 @@ class TestBulkIngest:
         assert str(e.value) == f"{p}: feature 'a': Point.x must be a finite real number, got 'x'"
 
     def test_the_bulk_check_alone_accepts_the_golden_files(self, data_dir, monkeypatch):
-        def refuse(value, where):
-            raise AssertionError(f"{where}: {value!r} went through the per-position check")
-
-        def refuse_features(feats, name):
-            raise AssertionError(f"{name}: the features went through the per-feature check")
+        def refuse(*args):
+            raise AssertionError(f"{args[-1]}: {args[:-1]!r} went through the fault walk")
 
         monkeypatch.setattr(io, "_coord_pair", refuse)
-        monkeypatch.setattr(io, "_poi_features", refuse_features)
-        readers = {"admin.geojson": io.read_admin_units, "poi.geojson": io.read_poi}
-        paths = sorted(data_dir.glob("*.geojson"))
+        monkeypatch.setattr(io, "_finite_pair", refuse)
+        readers = {"admin.geojson": io.read_admin_units, "poi.geojson": io.read_poi, "poi.csv": io.read_poi}
+        paths = sorted([*data_dir.glob("*.geojson"), *data_dir.glob("*.csv")])
         assert [path.name for path in paths] == sorted(readers)
         for path in paths:
             assert len(readers[path.name](path)) > 0

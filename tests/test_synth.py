@@ -58,6 +58,15 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match=f"{field} must be a finite real number"):
             synth.ScenarioSpec(seed=1, **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.0, True])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(ValidationError) as e:
+            synth.ScenarioSpec(seed=seed)
+        assert str(e.value) == f"seed must be an integer in [0, 2**128), got {seed!r}"
+
+    def test_largest_seed_is_accepted(self):
+        assert synth.generate(small_spec(2**128 - 1)).spec.seed == 2**128 - 1
+
     def test_pixel_must_divide_tile(self):
         with pytest.raises(ValidationError):
             synth.ScenarioSpec(seed=1, tile_size=30.0, pixel_size=13.0)
