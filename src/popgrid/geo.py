@@ -14,7 +14,10 @@ checked with the ``as_real`` rule; ``Point`` views are built on demand.
 
 Every kernel tests an edge with the same two expressions, ``_crossing_x``
 and ``_side``, so the two bulk membership kernels agree bit-for-bit with the
-scalar functions:
+scalar functions. Each evaluates an edge from its lower ``(y, x)`` end, not
+from the vertex its ring lists first, so a ring's centers do not depend on
+its vertex order, and two units that share an edge round its crossings the
+same way:
 
 - the lattice kernel (``first_owners``, and ``tile_centers_in_parts`` for one
   geometry), which the pipeline uses for pixel and tile centers, labels the
@@ -272,6 +275,12 @@ def _side(x1, y1, dx, dy, px, py):
     return dx * (py - y1) - dy * (px - x1)
 
 
+def _lower_end_first(x1, y1, x2, y2):
+    """The edges from ``(x1, y1)`` to ``(x2, y2)``, each turned to run from its lower ``(y, x)`` end."""
+    flip = (y2 < y1) | ((y2 == y1) & (x2 < x1))
+    return np.where(flip, x2, x1), np.where(flip, y2, y1), np.where(flip, x1, x2), np.where(flip, y1, y2)
+
+
 def _ring_hits(rx: np.ndarray, ry: np.ndarray, px: float, py: float) -> tuple[bool, bool]:
     """Even-odd crossing parity and on-boundary flag for one ring (scalar)."""
     inside = False
@@ -283,6 +292,8 @@ def _ring_hits(rx: np.ndarray, ry: np.ndarray, px: float, py: float) -> tuple[bo
         j = i + 1 if i + 1 < n else 0
         x2 = rx[j]
         y2 = ry[j]
+        if (y2, x2) < (y1, x1):  # from its lower (y, x) end, as every kernel evaluates an edge
+            x1, y1, x2, y2 = x2, y2, x1, y1
         if (
             _side(x1, y1, x2 - x1, y2 - y1, px, py) == 0.0
             and min(x1, x2) <= px <= max(x1, x2)
@@ -310,6 +321,8 @@ def _ring_hits_bulk(
     for x1, y1, x2, y2, a, m, b in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1], lo, mid, hi):
         if a == b:
             continue
+        if (y2, x2) < (y1, x1):
+            x1, y1, x2, y2 = x2, y2, x1, y1
         px = pxs[a:b]
         dx, dy = x2 - x1, y2 - y1
         on_edge[a:b] |= (_side(x1, y1, dx, dy, px, pys[a:b]) == 0.0) & (min(x1, x2) <= px) & (px <= max(x1, x2))
@@ -487,6 +500,7 @@ def _member_spans(grid: TileGrid, geometries: Sequence[Sequence[Polygon]]) -> tu
     following = np.arange(1, x1.size + 1)
     following[first + sizes - 1] = first
     x2, y2 = x1[following], y1[following]
+    x1, y1, x2, y2 = _lower_end_first(x1, y1, x2, y2)
     dx, dy = x2 - x1, y2 - y1
     ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
     r_lo = yc.searchsorted(ylo)
@@ -596,7 +610,8 @@ def representative_point(parts: Sequence[Polygon]) -> Point:
         return candidate
     mid_y = (box.min_y + box.max_y) / 2.0
     i = np.flatnonzero((ys > mid_y) != (y2 > mid_y))
-    crossings = np.sort(_crossing_x(xs[i], ys[i], x2[i] - xs[i], y2[i] - ys[i], mid_y)).tolist()
+    x1, y1, x2, y2 = _lower_end_first(xs[i], ys[i], x2[i], y2[i])
+    crossings = np.sort(_crossing_x(x1, y1, x2 - x1, y2 - y1, mid_y)).tolist()
     for a, b in zip(crossings[0::2], crossings[1::2]):
         candidate = Point((a + b) / 2.0, mid_y)
         if point_in_polygon(candidate, part):

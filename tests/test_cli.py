@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -250,6 +251,21 @@ class TestRun:
         assert totals["population_out"] == pytest.approx(totals["population_in"], rel=1e-9)
         for name in ("population.asc", "tile_mask.asc", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # and on the mask in three other layouts, which the streamed reader,
+        # the byte path, and numpy (the byte path refuses a trailing space) read
+        lines = Path(scenario["mask"]).read_text().splitlines()
+        head, body = lines[:6], lines[6:]
+        layouts = {
+            "one-value-per-line": "\n".join(head + " ".join(body).split()) + "\n",
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "trailing-space": "\n".join(head + [row + " " for row in body]) + "\n",
+        }
+        for layout, text in layouts.items():
+            mask = tmp_path / f"{layout}.asc"
+            mask.write_bytes(text.encode())
+            assert run_pipeline({**scenario, "mask": str(mask)}, tmp_path / layout) == 0
+            for name in ("population.asc", "tile_mask.asc", "report.json"):
+                assert (tmp_path / layout / name).read_bytes() == (out1 / name).read_bytes(), (layout, name)
 
     def test_threshold_one_excludes_superset(self, tmp_path, scenario):
         # R=120 keeps some POIs isolated on this small extent, so lowering
@@ -1084,6 +1100,7 @@ class TestSeldomTakenPaths:
         err = capsys.readouterr().err
         assert re.search(r"^WARNING: \d+ built pixels fall in more than one admin unit; .*'u000' over 'dup'", err, re.M)
         assert sorted(p.name for p in out.iterdir()) == ["population.asc", "report.json", "tile_mask.asc"]
+        assert all(p.stat().st_size > 0 for p in out.iterdir())
 
     def test_json_error_object(self, tmp_path, scenario, capsys):
         argv = ["zonal", "--grid", scenario["truth"], "--admin", str(tmp_path / "nope.geojson"),
@@ -1175,6 +1192,115 @@ class TestSeldomTakenPaths:
         assert json.loads(capsys.readouterr().out)["errors"] == [
             f"SchemaError: {path}: feature #1: category must be a string or null, got 5"
         ]
+
+
+def unit_feature(fid: str, *rings) -> dict:
+    return {
+        "type": "Feature",
+        "properties": {"id": fid, "level": "circle", "population": 10},
+        "geometry": {"type": "Polygon", "coordinates": list(rings)},
+    }
+
+
+def poi_feature(properties) -> dict:
+    return {"type": "Feature", "properties": properties, "geometry": {"type": "Point", "coordinates": [1500.0, 1500.0]}}
+
+
+TWO_VERTICES = [[0.0, 0.0], [1000.0, 1000.0], [0.0, 0.0], [1000.0, 1000.0]]  # a ring of 2 distinct vertices
+EMPTY_LIST_PROPERTIES = json.dumps(feature_collection(poi_feature([])))
+
+# One input that a command must refuse, a row each: the argv, the files the
+# row writes into the test's directory (text, or a function of the
+# scenario), the exit code, the error class, a fragment of its ERROR line,
+# and the paths that must not exist afterwards. In argv, fragment and paths,
+# {tmp} is that directory and {admin}, {poi}, {mask} the scenario's inputs.
+REFUSED_INPUTS = [
+    pytest.param(
+        ["filter-poi", "--config", "{tmp}/level-null.json", "--admin", "{tmp}/tehsil.geojson", "--poi", "{poi}",
+         "--out", "{tmp}/tehsil.asc"],
+        {
+            "level-null.json": '{"level": null}',
+            "tehsil.geojson": lambda s: Path(s["admin"]).read_text().replace('"level": "circle"', '"level": "tehsil"'),
+        },
+        2, "ConfigurationError", "level must be an admin level name, got None", ["{tmp}/tehsil.asc"],
+        id="config-level-null",
+    ),
+    pytest.param(  # every ring's coordinates are checked before any ring's shape
+        ["validate", "--admin", "{tmp}/hole-x.geojson"],
+        {"hole-x.geojson": json.dumps(feature_collection(
+            unit_feature("hx", TWO_VERTICES, [[100.0, 100.0], ["x", 100.0], [200.0, 200.0]])))},
+        2, "ValidationError", "{tmp}/hole-x.geojson: feature 'hx': Point.x must be a finite real number, got 'x'", [],
+        id="two-vertex-exterior-then-hole-holding-x",
+    ),
+    pytest.param(  # the fault named is the first in file order
+        ["validate", "--admin", "{tmp}/two-then-nan.geojson"],
+        {"two-then-nan.geojson": json.dumps(feature_collection(
+            unit_feature("two", TWO_VERTICES),
+            unit_feature("nan", [[0.0, 0.0], [1000.0, 0.0], [math.nan, 1000.0], [0.0, 0.0]])))},
+        2, "GeometryError",
+        "{tmp}/two-then-nan.geojson: feature 'two': exterior ring needs at least 3 distinct vertices, got 2", [],
+        id="two-vertex-unit-then-nan-unit",
+    ),
+    pytest.param(
+        ["validate", "--poi", "{tmp}/nan-row.csv"],
+        {"nan-row.csv": "x,y,category\n1500.0,1500.0,shop\nnan,1500.0,shop\n"},
+        2, "ValidationError", "{tmp}/nan-row.csv: row 2: Point.x must be a finite real number, got nan", [],
+        id="csv-nan-row",
+    ),
+    pytest.param(
+        ["validate", "--poi", "{tmp}/category-0.geojson"],
+        {"category-0.geojson": json.dumps(feature_collection(poi_feature({"category": 0})))},
+        2, "SchemaError", "{tmp}/category-0.geojson: feature #0: category must be a string or null, got 0", [],
+        id="category-0",
+    ),
+    pytest.param(
+        ["validate", "--poi", "{tmp}/props-list.geojson"],
+        {"props-list.geojson": EMPTY_LIST_PROPERTIES},
+        2, "SchemaError", "{tmp}/props-list.geojson: feature #0: properties must be an object or null", [],
+        id="validate-properties-empty-list",
+    ),
+    pytest.param(
+        ["run", "--admin", "{admin}", "--poi", "{tmp}/props-list.geojson", "--mask", "{mask}", "--out", "{tmp}/out"],
+        {"props-list.geojson": EMPTY_LIST_PROPERTIES},
+        2, "SchemaError", "{tmp}/props-list.geojson: feature #0: properties must be an object or null", ["{tmp}/out"],
+        id="run-properties-empty-list",
+    ),
+]
+
+
+class TestRefusedInputs:
+    """Each row of ``REFUSED_INPUTS`` exits with its code and a typed ERROR
+    line, shows no traceback and leaves none of its outputs. A repro of an
+    input that must be refused goes here."""
+
+    @pytest.fixture(scope="class")
+    def shared_scenario(self, tmp_path_factory) -> dict:
+        return make_scenario(tmp_path_factory.mktemp("refused") / "s")
+
+    @pytest.mark.parametrize("argv, writes, code, error, fragment, absent", REFUSED_INPUTS)
+    def test_refused(self, tmp_path, shared_scenario, capsys, argv, writes, code, error, fragment, absent):
+        where = {"tmp": tmp_path, **{role: shared_scenario[role] for role in ("admin", "poi", "mask")}}
+        for name, text in writes.items():
+            (tmp_path / name).write_text(text if isinstance(text, str) else text(shared_scenario))
+        assert main([arg.format(**where) for arg in argv]) == code
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert any(line.startswith(f"ERROR: {error}: ") and fragment.format(**where) in line for line in lines), lines
+        assert "Traceback" not in captured.err
+        assert [path for path in absent if Path(path.format(**where)).exists()] == []
+
+
+def test_the_readme_quick_start_exits_zero(tmp_path, monkeypatch):
+    # the bash block under "A full round trip on synthetic data" in README.md,
+    # which CI also runs line for line
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("A full round trip on synthetic data:\n\n```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [words[:2] for words in commands] == [["popgrid", name] for name in
+                                                 ("synth", "validate", "run", "zonal", "zonal", "render", "evaluate")]
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert main(words[1:]) == 0, words
 
 
 class TestZonal:

@@ -633,18 +633,25 @@ class TestTileCentersInParts:
         assert tile_centers_in_parts(grid, [poly]).tolist() == expect
 
     def test_a_crossing_that_rounds_left_of_the_bbox_is_clipped_to_it(self):
-        # at y = 1.125 the edge from (2**53 + 2, 2) to (2.5, 1.125) crosses at
-        # xi == 2.0, since x2 - x1 rounds to -2**53: the scalar kernel then
-        # holds (2.125, 1.125) and (2.375, 1.125), left of the bbox, and the
-        # lattice kernel must hold them too
         far = 2.0**53 + 2
-        tri = Polygon(exterior=[(far, 2.0), (2.5, 1.125), (far, 0.0)])
         grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=16, n_rows=12, tile_size=0.25)
-        assert point_in_polygon(Point(2.125, 1.125), tri) and point_in_polygon(Point(2.375, 1.125), tri)
+        # at y = 1.125 the edge between (2.5, 1.125) and (2**53 + 2, 2) is
+        # evaluated from its lower end, (2.5, 1.125), so it crosses at exactly 2.5
+        tri = Polygon(exterior=[(far, 2.0), (2.5, 1.125), (far, 0.0)])
+        assert not point_in_polygon(Point(2.375, 1.125), tri) and point_in_polygon(Point(2.625, 1.125), tri)
         row = [i % 16 for i in tile_centers_in_parts(grid, [tri]).tolist() if i // 16 == 4]
+        assert row == list(range(10, 16))  # x from 2.625, the first center right of xi = 2.5
+        # from the lower end (2**53 + 2, -2**60) to (2.5, 1.375), (py - y1) / dy
+        # rounds to 1 at y = 1.125 and x2 - x1 to -2**53, so xi == 2.0: the
+        # scalar kernel holds (2.125, 1.125) and (2.375, 1.125), left of the
+        # bbox, and the lattice kernel must hold them too
+        low = Polygon(exterior=[(far, -(2.0**60)), (2.5, 1.375), (far, 2.0**60)])
+        assert point_in_polygon(Point(2.125, 1.125), low) and point_in_polygon(Point(2.375, 1.125), low)
+        row = [i % 16 for i in tile_centers_in_parts(grid, [low]).tolist() if i // 16 == 4]
         assert row == list(range(8, 16))  # x from 2.125, the first center right of xi = 2.0
-        got, _ = first_owners(grid, [[tri]])
-        assert np.flatnonzero(got == 0).tolist() == tile_centers_in_parts(grid, [tri]).tolist()
+        for poly in (tri, low):
+            got, _ = first_owners(grid, [[poly]])
+            assert np.flatnonzero(got == 0).tolist() == tile_centers_in_parts(grid, [poly]).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -688,6 +695,47 @@ class TestTileCentersInParts:
         assert peak < 16 * window + 64 * _ON_EDGE_CHUNK
         cx, cy = np.meshgrid(np.arange(1024) + 0.5, np.arange(1024) + 0.5)
         assert hit.tolist() == np.flatnonzero(points_in_polygon(cx, cy, star)).tolist()
+
+
+def slanted_edges():
+    """Ends ``p``, ``q`` of slanted edges through the centers (40.5, 60.5) +
+    i * (dx, dy), i = 0..4, of a 1 m grid, each extended by 1/f of its length
+    at both ends so that neither end is exact; and apexes ``a``, ``b`` on
+    either side of it."""
+    for f in (3, 7, 9, 11, 13):
+        for dx, dy in ((1, 2), (3, 1), (2, -5), (-4, 3), (5, 7), (7, -2)):
+            x0, y0 = 40.5, 60.5
+            x1, y1 = x0 + 4 * dx, y0 + 4 * dy
+            p = (x0 - (x1 - x0) / f, y0 - (y1 - y0) / f)
+            q = (x1 + (x1 - x0) / f, y1 + (y1 - y0) / f)
+            mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+            yield p, q, (mx - 0.3 * (y1 - y0), my + 0.3 * (x1 - x0)), (mx + 0.3 * (y1 - y0), my - 0.3 * (x1 - x0))
+
+
+class TestVertexOrder:
+    """Every kernel evaluates an edge from its lower ``(y, x)`` end, so the
+    centers a ring holds do not depend on the order it lists its vertices in."""
+
+    grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=128, n_rows=128, tile_size=1.0)
+
+    def test_two_triangles_sharing_an_edge_leave_no_center_of_their_union_unowned(self):
+        # the two list their shared edge in opposite orders; the union's
+        # outline is the same four edges, listed as the triangles list them
+        for p, q, a, b in slanted_edges():
+            owner, _ = first_owners(self.grid, [[Polygon(exterior=[p, q, a])], [Polygon(exterior=[q, p, b])]])
+            union, _ = first_owners(self.grid, [[Polygon(exterior=[p, b, q, a])]])
+            assert np.flatnonzero(owner >= 0).tolist() == np.flatnonzero(union == 0).tolist()
+
+    def test_reversing_a_slanted_ring_leaves_its_centers_unchanged(self):
+        cx, cy = np.meshgrid(np.arange(128) + 0.5, np.arange(128) + 0.5)
+        for p, q, a, _ in slanted_edges():
+            tri, rev = Polygon(exterior=[p, q, a]), Polygon(exterior=[a, q, p])
+            assert first_owners(self.grid, [[tri]])[0].tolist() == first_owners(self.grid, [[rev]])[0].tolist()
+            assert points_in_polygon(cx, cy, tri).tolist() == points_in_polygon(cx, cy, rev).tolist()
+            box = tri.bbox
+            for x in np.arange(math.floor(box.min_x), math.ceil(box.max_x)) + 0.5:
+                for y in np.arange(math.floor(box.min_y), math.ceil(box.max_y)) + 0.5:
+                    assert point_in_polygon(Point(x, y), tri) == point_in_polygon(Point(x, y), rev), (x, y)
 
 
 class TestRepresentativePoint:
