@@ -31,13 +31,12 @@ from .io import (
     read_poi,
     write_ascii_grid,
 )
-from .poi_filter import PoiSet, TileMask, buffer_count, compute_tile_mask
+from .poi_filter import PoiSet, TileMask, compute_tile_mask
 from .disaggregate import (
     AllocationReport,
     PixelAssignment,
     allocate,
     assign_pixels,
-    brute_force_allocate,
     run_disaggregation,
 )
 from .evaluate import ConfusionCounts, confusion, downsample_to_tiles, metrics, zonal_stats
@@ -76,8 +75,6 @@ __all__ = [
     "ValidationError",
     "allocate",
     "assign_pixels",
-    "brute_force_allocate",
-    "buffer_count",
     "compute_tile_mask",
     "confusion",
     "downsample_to_tiles",

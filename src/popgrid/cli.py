@@ -53,6 +53,7 @@ class PipelineConfig:
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
+    raw = {}
     config_path = getattr(args, "config", None)
     if config_path:
         text = io.read_text(config_path)
@@ -74,18 +75,21 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             overrides[f.name] = value
     if overrides:
         cfg = replace(cfg, **overrides)
+    # an error about a value read from the config file names the file
+    prefix = {name: f"{config_path}: " for name in raw.keys() - overrides.keys()}
     # n_cols/n_rows (TileGrid) and poi_radius/poi_threshold (poi_filter) are
     # type-checked where they are used; the level's value by AdminLevel.
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
+        value, where = getattr(cfg, f.name), prefix.get(f.name, "")
         if f.name in ("admin", "poi", "mask", "out") and value is not None and not isinstance(value, str):
-            raise ConfigurationError(f"{f.name} must be a path string, got {value!r}")
+            raise ConfigurationError(f"{where}{f.name} must be a path string, got {value!r}")
         if f.name == "level" and not isinstance(value, str):
-            raise ConfigurationError(f"level must be an admin level name, got {value!r}")
+            raise ConfigurationError(f"{where}level must be an admin level name, got {value!r}")
         if f.name in ("origin_x", "origin_y") and value is not None and not math.isfinite(as_real(value)):
-            raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
+            raise ParameterError(f"{where}{f.name} must be a finite number, got {value!r}")
     if not (math.isfinite(as_real(cfg.tile_size)) and cfg.tile_size > 0):
-        raise ParameterError(f"tile size must be a positive finite number, got {cfg.tile_size!r}")
+        where = prefix.get("tile_size", "")
+        raise ParameterError(f"{where}tile size must be a positive finite number, got {cfg.tile_size!r}")
     return cfg
 
 
@@ -462,8 +466,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.func is cmd_validate:
-            return cmd_validate(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = args.func(args)

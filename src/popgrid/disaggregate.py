@@ -15,9 +15,6 @@ Fallbacks, always flagged in the report:
     over all tiles whose centers lie inside it (retained or not);
   - a unit containing no tile center puts its population on the tile of its
     representative point (clamped to the grid edge if necessary).
-
-``brute_force_allocate`` re-implements the whole contract with plain nested
-loops and no index structures; the fast path must match it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -30,15 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, OverlapWarning, ValidationError
-from .geo import (
-    Point,
-    Polygon,
-    TileGrid,
-    first_owners,
-    point_in_any,
-    representative_point,
-    tile_centers_in_parts,
-)
+from .geo import Polygon, TileGrid, first_owners, representative_point, tile_centers_in_parts
 from .io import AdminUnit, BinaryRaster, PopulationGrid
 from .poi_filter import TileMask
 
@@ -50,7 +39,6 @@ __all__ = [
     "assign_pixels",
     "allocate",
     "allocate_uniform",
-    "brute_force_allocate",
     "run_disaggregation",
 ]
 
@@ -273,73 +261,3 @@ def allocate_uniform(grid: TileGrid, units: Sequence[AdminUnit]) -> PopulationGr
         _spread_evenly(values, grid, unit.geometry, unit.population)
     return PopulationGrid.on(grid, values.reshape(grid.n_rows, grid.n_cols))
 
-
-def brute_force_allocate(
-    mask: BinaryRaster,
-    grid: TileGrid,
-    units: Sequence[AdminUnit],
-    tile_mask: TileMask,
-) -> PopulationGrid:
-    """Same contract as assign_pixels + allocate, as plain nested loops.
-
-    Test oracle: no vectorization, no spatial pruning beyond a bbox check,
-    Python-scalar arithmetic only. Must equal :func:`allocate` exactly.
-    """
-    from .geo import point_in_polygon  # scalar kernel only
-
-    _check_inputs(mask, grid, tile_mask)
-    values = [[0.0] * grid.n_cols for _ in range(grid.n_rows)]
-    retained = tile_mask.retained
-
-    # per-unit tile -> built pixel count, retained and excluded
-    per_unit_retained: list[dict[tuple[int, int], int]] = [dict() for _ in units]
-    per_unit_excluded: list[dict[tuple[int, int], int]] = [dict() for _ in units]
-    for pr in range(mask.n_rows):
-        for pc in range(mask.n_cols):
-            if mask.nodata[pr, pc] or mask.values[pr, pc] != 1:
-                continue
-            px = mask.origin_x + (pc + 0.5) * mask.pixel_size
-            py = mask.origin_y + (pr + 0.5) * mask.pixel_size
-            tc = math.floor((px - grid.origin_x) / grid.tile_size)
-            tr = math.floor((py - grid.origin_y) / grid.tile_size)
-            if not (0 <= tc < grid.n_cols and 0 <= tr < grid.n_rows):
-                continue
-            owner = -1
-            for k, unit in enumerate(units):
-                bb = unit.bbox
-                if not (bb.min_x <= px <= bb.max_x and bb.min_y <= py <= bb.max_y):
-                    continue
-                if any(point_in_polygon(Point(px, py), part) for part in unit.geometry):
-                    owner = k
-                    break
-            if owner < 0:
-                continue
-            key = (int(tc), int(tr))
-            bucket = per_unit_retained[owner] if retained[tr, tc] else per_unit_excluded[owner]
-            bucket[key] = bucket.get(key, 0) + 1
-
-    for k, unit in enumerate(units):
-        pop = unit.population
-        total = sum(per_unit_retained[k].values())
-        if total > 0:
-            for (tc, tr), count in per_unit_retained[k].items():
-                values[tr][tc] += pop * float(count) / float(total)
-        else:
-            center_tiles = []
-            for tr in range(grid.n_rows):
-                for tc in range(grid.n_cols):
-                    center = grid.tile_center(tc, tr)
-                    if point_in_any(center, unit.geometry):
-                        center_tiles.append((tc, tr))
-            if center_tiles:
-                share = pop / len(center_tiles)
-                for tc, tr in center_tiles:
-                    values[tr][tc] += share
-            else:
-                rp = representative_point(unit.geometry)
-                tc = math.floor((rp.x - grid.origin_x) / grid.tile_size)
-                tr = math.floor((rp.y - grid.origin_y) / grid.tile_size)
-                tc = min(max(tc, 0), grid.n_cols - 1)
-                tr = min(max(tr, 0), grid.n_rows - 1)
-                values[tr][tc] += pop
-    return PopulationGrid.on(grid, values)

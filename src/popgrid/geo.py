@@ -14,10 +14,10 @@ checked with the ``as_real`` rule; ``Point`` views are built on demand.
 
 Every kernel tests an edge with the same two expressions, ``_crossing_x``
 and ``_side``, so the two bulk membership kernels agree bit-for-bit with the
-scalar functions. Each evaluates an edge from its lower ``(y, x)`` end, not
-from the vertex its ring lists first, so a ring's centers do not depend on
-its vertex order, and two units that share an edge round its crossings the
-same way:
+scalar ``point_in_polygon``. Each evaluates an edge from its lower ``(y, x)``
+end, not from the vertex its ring lists first, so a ring's centers do not
+depend on its vertex order, and two units that share an edge round its
+crossings the same way:
 
 - the lattice kernel (``first_owners``, and ``tile_centers_in_parts`` for one
   geometry), which the pipeline uses for pixel and tile centers, labels the
@@ -31,7 +31,8 @@ same way:
   geometry's parts. Cells are expanded only where two or more geometries
   hold them, to find the first owner;
 - the point-set kernel (``points_in_polygon``), for arbitrary points, sorts
-  them by y once and tests each edge on the points of its y-band.
+  them by y once and tests each edge on the points of its y-band. The
+  pipeline does not call it; the benchmark's per-layer trace times it.
 """
 
 from __future__ import annotations
@@ -358,11 +359,6 @@ def points_in_polygon(pxs: np.ndarray, pys: np.ndarray, poly: Polygon) -> np.nda
     result = np.empty(pys.shape, dtype=bool)
     result.flat[order] = hit
     return result
-
-
-def point_in_any(p: Point, parts: Sequence[Polygon]) -> bool:
-    """Membership in a multi-part geometry (any part contains the point)."""
-    return any(point_in_polygon(p, part) for part in parts)
 
 
 def points_in_any(pxs: np.ndarray, pys: np.ndarray, parts: Sequence[Polygon]) -> np.ndarray:

@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .geo import Point, TileGrid, as_real, finite_coords
+from .geo import TileGrid, as_real, finite_coords
 
-__all__ = ["PoiSet", "TileMask", "buffer_count", "compute_tile_mask"]
+__all__ = ["PoiSet", "TileMask", "compute_tile_mask"]
 
 _PAIR_BLOCK = 2**16  # point pairs tested at once by PoiSet._pair_counts
 
@@ -41,8 +41,8 @@ _PAIR_BLOCK = 2**16  # point pairs tested at once by PoiSet._pair_counts
 class PoiSet:
     """Immutable POI collection: read-only float64 arrays ``xs`` and ``ys``,
     and one free-form category ``str`` per point (all "" when none are given),
-    with exact closed-disc radius queries: the single-center queries scan
-    every point, ``buffer_counts`` and ``dense`` hash them."""
+    with exact closed-disc radius queries: ``buffer_counts`` and ``dense``
+    hash the points."""
 
     def __init__(self, xs: Sequence = (), ys: Sequence = (), categories: Sequence[str] | None = None):
         self.xs, self.ys = finite_coords(xs, ys)
@@ -56,18 +56,10 @@ class PoiSet:
     def __len__(self) -> int:
         return len(self.xs)
 
-    def _within(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Whether each point lies within the closed disc of ``radius`` around (x, y)."""
-        dx = self.xs - x
-        dy = self.ys - y
-        return dx * dx + dy * dy <= radius * radius
-
-    def count_within(self, x: float, y: float, radius: float) -> int:
-        return int(np.count_nonzero(self._within(x, y, radius)))
-
     def buffer_counts(self, radius: float) -> np.ndarray:
-        """``count_within`` at every point, input order, exact: the grid-hashed
-        pair pass of ``_pair_counts`` over every point."""
+        """How many points lie within the closed disc of ``radius`` around each
+        point, itself included, input order, exact: the grid-hashed pair pass
+        of ``_pair_counts`` over every point."""
         radius = _check_radius_threshold(radius)
         return self._pair_counts(radius, np.arange(len(self.xs)))
 
@@ -108,7 +100,7 @@ class PoiSet:
         return dense
 
     def _pair_counts(self, radius: float, query: np.ndarray) -> np.ndarray:
-        """``count_within`` at the points ``query`` indexes, in one grid-hashed
+        """The buffer counts of the points ``query`` indexes, in one grid-hashed
         pass: fixed-radius near neighbours (Bentley, Stanat & Williams 1977)
         over the 3x3 cells around each query point's own, ``_PAIR_BLOCK``
         point pairs at a time."""
@@ -190,15 +182,6 @@ def _check_radius_threshold(radius: float, threshold: int = 1) -> float:
     if not (whole and threshold >= 1):
         raise ParameterError(f"threshold must be an integer of at least 1, got {threshold!r}")
     return r
-
-
-def buffer_count(pois: PoiSet, center: Point, radius: float) -> int:
-    """Number of POIs within ``radius`` of ``center`` (closed disc).
-
-    When ``center`` is itself a member of the set it is included in the
-    count, since its distance to itself is zero.
-    """
-    return pois.count_within(center.x, center.y, _check_radius_threshold(radius))
 
 
 def compute_tile_mask(grid: TileGrid, pois: PoiSet, radius: float, threshold: int) -> TileMask:

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import brute_force_allocate
 from popgrid import io, synth
 from popgrid.cli import main
-from popgrid.disaggregate import allocate_uniform, brute_force_allocate, run_disaggregation
+from popgrid.disaggregate import allocate_uniform, run_disaggregation
 from popgrid.errors import (
     FormatError,
     GeometryError,

@@ -439,6 +439,11 @@ class TestRun:
     def test_non_finite_tile_size_flag_exits_two(self, tmp_path, scenario, capsys):
         assert run_pipeline(scenario, tmp_path / "o", "--tile-size", "nan") == 2
         assert "ERROR: ParameterError: tile size" in capsys.readouterr().err
+        # the flag overrides the file's value, so the error names no file
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"tile_size": "30"}')
+        assert run_pipeline(scenario, tmp_path / "o", "--config", str(cfg_path), "--tile-size", "nan") == 2
+        assert "ERROR: ParameterError: tile size must be a positive finite number, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, grid, refused",
@@ -1222,8 +1227,30 @@ REFUSED_INPUTS = [
             "level-null.json": '{"level": null}',
             "tehsil.geojson": lambda s: Path(s["admin"]).read_text().replace('"level": "circle"', '"level": "tehsil"'),
         },
-        2, "ConfigurationError", "level must be an admin level name, got None", ["{tmp}/tehsil.asc"],
+        2, "ConfigurationError", "{tmp}/level-null.json: level must be an admin level name, got None",
+        ["{tmp}/tehsil.asc"],
         id="config-level-null",
+    ),
+    pytest.param(
+        ["run", "--config", "{tmp}/admin-int.json", "--poi", "{poi}", "--mask", "{mask}", "--out", "{tmp}/out"],
+        {"admin-int.json": '{"admin": 5}'},
+        2, "ConfigurationError", "{tmp}/admin-int.json: admin must be a path string, got 5", ["{tmp}/out"],
+        id="config-admin-int",
+    ),
+    pytest.param(
+        ["run", "--config", "{tmp}/origin-x-str.json", "--admin", "{admin}", "--poi", "{poi}", "--mask", "{mask}",
+         "--out", "{tmp}/out"],
+        {"origin-x-str.json": '{"origin_x": "a"}'},
+        2, "ParameterError", "{tmp}/origin-x-str.json: origin_x must be a finite number, got 'a'", ["{tmp}/out"],
+        id="config-origin-x-str",
+    ),
+    pytest.param(
+        ["run", "--config", "{tmp}/tile-size-str.json", "--admin", "{admin}", "--poi", "{poi}", "--mask", "{mask}",
+         "--out", "{tmp}/out"],
+        {"tile-size-str.json": '{"tile_size": "30"}'},
+        2, "ParameterError", "{tmp}/tile-size-str.json: tile size must be a positive finite number, got '30'",
+        ["{tmp}/out"],
+        id="config-tile-size-str",
     ),
     pytest.param(  # every ring's coordinates are checked before any ring's shape
         ["validate", "--admin", "{tmp}/hole-x.geojson"],

@@ -5,13 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from popgrid.disaggregate import (
-    allocate,
-    allocate_uniform,
-    assign_pixels,
-    brute_force_allocate,
-    run_disaggregation,
-)
+from oracles import brute_force_allocate
+from popgrid.disaggregate import allocate, allocate_uniform, assign_pixels, run_disaggregation
 from popgrid.errors import ConfigurationError, OverlapWarning, ValidationError
 from popgrid.geo import BBox, TileGrid, rectangle
 from popgrid.io import AdminLevel, AdminUnit, BinaryRaster

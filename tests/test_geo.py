@@ -19,7 +19,6 @@ from popgrid.geo import (
     finite_coords,
     first_owners,
     parts_bbox,
-    point_in_any,
     point_in_polygon,
     points_in_polygon,
     rectangle,
@@ -28,6 +27,7 @@ from popgrid.geo import (
 )
 
 from conftest import convex_contains, edge_distance, random_convex_polygon, slow_ray_cast
+from oracles import point_in_any
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 

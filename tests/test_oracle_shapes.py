@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import random_convex_polygon
-from popgrid.disaggregate import assign_pixels, brute_force_allocate, run_disaggregation
+from oracles import brute_force_allocate, point_in_any
+from popgrid.disaggregate import assign_pixels, run_disaggregation
 from popgrid.errors import OverlapWarning
 from popgrid.evaluate import UNASSIGNED_ID, zonal_stats
-from popgrid.geo import Point, Polygon, TileGrid, point_in_any, rectangle
+from popgrid.geo import Point, Polygon, TileGrid, rectangle
 from popgrid.io import AdminLevel, AdminUnit, BinaryRaster, PopulationGrid
 from popgrid.poi_filter import TileMask
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from popgrid import poi_filter
 from popgrid.errors import ParameterError, ValidationError
 from popgrid.geo import Point, TileGrid
-from popgrid.poi_filter import PoiSet, buffer_count, compute_tile_mask
+from popgrid.poi_filter import PoiSet, compute_tile_mask
 
 
 def make_set(coords) -> PoiSet:
@@ -114,29 +114,26 @@ class TestBufferCount:
             for r, a in zip(rng.uniform(0, 50, 5), rng.uniform(0, 2 * np.pi, 5))
         ]
         pois = make_set(coords)
-        expected = brute_counts(pois, 500.0)
-        assert expected.tolist() == [5] * 5
-        for x, y in locations(pois):
-            assert buffer_count(pois, Point(x, y), 500.0) == 5
+        assert pois.buffer_counts(500.0).tolist() == brute_counts(pois, 500.0).tolist() == [5] * 5
 
     def test_isolated_poi_counts_itself(self):
         pois = make_set([(10.0, 10.0)])
-        assert buffer_count(pois, Point(10.0, 10.0), 500.0) == 1
+        assert pois.buffer_counts(500.0).tolist() == [1]
 
     def test_empty_set(self):
-        pois = make_set([])
-        assert buffer_count(pois, Point(0, 0), 500.0) == 0
+        counts = make_set([]).buffer_counts(500.0)
+        assert counts.shape == (0,) and counts.dtype == np.int64
 
     def test_tie_at_exact_radius_included(self):
         pois = make_set([(0.0, 0.0), (500.0, 0.0)])
-        assert buffer_count(pois, Point(0, 0), 500.0) == 2
+        assert pois.buffer_counts(500.0).tolist() == [2, 2]
 
     def test_bad_radius(self):
         pois = make_set([(0.0, 0.0)])
         with pytest.raises(ParameterError):
-            buffer_count(pois, Point(0, 0), 0.0)
+            pois.buffer_counts(0.0)
         with pytest.raises(ParameterError):
-            buffer_count(pois, Point(0, 0), -1.0)
+            pois.buffer_counts(-1.0)
 
 
 class TestDensePois:
@@ -167,19 +164,6 @@ class TestDensePois:
             expect = {i for i in range(len(pois)) if counts[i] >= 4}
             got = set(np.flatnonzero(pois.dense(400.0, 4)).tolist())
             assert got == expect
-
-    def test_index_query_equals_linear_scan(self):
-        rng = np.random.default_rng(12)
-        pois = random_poi_set(rng, 300, span=2000.0)
-        xs, ys = pois.xs, pois.ys
-        for _ in range(50):
-            qx, qy = rng.uniform(-200, 2200, 2)
-            radius = float(rng.uniform(1, 900))
-            dx = xs - qx
-            dy = ys - qy
-            linear = np.flatnonzero(dx * dx + dy * dy <= radius * radius)
-            assert np.flatnonzero(pois._within(qx, qy, radius)).tolist() == linear.tolist()
-            assert pois.count_within(qx, qy, radius) == linear.size
 
 
 class TestComputeTileMask:
@@ -476,7 +460,6 @@ class TestParameterValidation:
     @pytest.mark.parametrize("radius", [True, "500", None, float("nan"), float("inf"), 0, -5.0, 1e200])
     def test_bad_radius(self, radius):
         calls = [
-            lambda: buffer_count(self.pois, Point(0, 0), radius),
             lambda: self.pois.dense(radius, 5),
             lambda: compute_tile_mask(self.grid, self.pois, radius, 5),
             lambda: self.pois.buffer_counts(radius),
@@ -505,4 +488,4 @@ class TestParameterValidation:
     def test_numpy_scalars_accepted(self):
         mask = compute_tile_mask(self.grid, self.pois, np.float64(500.0), np.int64(2))
         assert mask.n_excluded == 1
-        assert buffer_count(self.pois, Point(0, 0), np.float32(2.0)) == 2
+        assert self.pois.buffer_counts(np.float32(2.0)).tolist() == [2, 2]
