@@ -13,14 +13,14 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from . import disaggregate, evaluate, io, render, synth
 from .errors import AlignmentError, ConfigurationError, ParameterError, ParseError, PopgridError, ValidationError
-from .geo import BBox, TileGrid, as_real, parts_bbox
-from .poi_filter import compute_tile_mask
+from .geo import BBox, TileGrid, as_real, check_grid_size, parts_bbox
+from .poi_filter import _check_radius_threshold, compute_tile_mask
 
 DEFAULT_TILE_SIZE = 30.0
 DEFAULT_POI_RADIUS = 500.0
@@ -51,8 +51,34 @@ class PipelineConfig:
     n_rows: int | None = None
 
 
+def _check_setting(name: str, value: object, where: str) -> None:
+    """Refuse ``value`` for the setting ``name`` by the rule that owns it; ``where`` is
+    "<config file>: " for a file's value, and the key follows it where the message lacks it."""
+    if name in ("admin", "poi", "mask", "out") and not isinstance(value, str):
+        raise ConfigurationError(f"{where}{name} must be a path string, got {value!r}")
+    if name == "level" and not isinstance(value, str):
+        raise ConfigurationError(f"{where}level must be an admin level name, got {value!r}")
+    if name in ("origin_x", "origin_y") and not math.isfinite(as_real(value)):
+        raise ParameterError(f"{where}{name} must be a finite number, got {value!r}")
+    if name == "tile_size" and not (math.isfinite(as_real(value)) and value > 0):
+        raise ParameterError(f"{where}tile size must be a positive finite number, got {value!r}")
+    try:  # the library's rules, whose messages lack the key
+        if name == "level":
+            io.AdminLevel.parse(value)
+        elif name in ("n_cols", "n_rows"):
+            check_grid_size(value)
+        elif name == "poi_radius":
+            _check_radius_threshold(value)
+        elif name == "poi_threshold":
+            _check_radius_threshold(DEFAULT_POI_RADIUS, value)  # a valid radius: only the threshold is judged
+    except PopgridError as e:
+        if not where:
+            raise
+        raise type(e)(f"{where}{name}: {e}") from None
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig()
+    """Each setting: the flag, else the config file's value, else the default."""
     raw = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -63,34 +89,16 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigurationError(f"{config_path}: invalid JSON config ({e.reason})") from None
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{config_path}: a config file must hold a JSON object")
-        known = {f.name for f in fields(PipelineConfig)}
-        unknown = set(raw) - known
-        if unknown:
+        if unknown := set(raw) - {f.name for f in fields(PipelineConfig)}:
             raise ConfigurationError(f"{config_path}: unknown config keys {sorted(unknown)}")
-        cfg = replace(cfg, **raw)
-    overrides = {}
+    settings = {}
     for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    # an error about a value read from the config file names the file
-    prefix = {name: f"{config_path}: " for name in raw.keys() - overrides.keys()}
-    # n_cols/n_rows (TileGrid) and poi_radius/poi_threshold (poi_filter) are
-    # type-checked where they are used; the level's value by AdminLevel.
-    for f in fields(cfg):
-        value, where = getattr(cfg, f.name), prefix.get(f.name, "")
-        if f.name in ("admin", "poi", "mask", "out") and value is not None and not isinstance(value, str):
-            raise ConfigurationError(f"{where}{f.name} must be a path string, got {value!r}")
-        if f.name == "level" and not isinstance(value, str):
-            raise ConfigurationError(f"{where}level must be an admin level name, got {value!r}")
-        if f.name in ("origin_x", "origin_y") and value is not None and not math.isfinite(as_real(value)):
-            raise ParameterError(f"{where}{f.name} must be a finite number, got {value!r}")
-    if not (math.isfinite(as_real(cfg.tile_size)) and cfg.tile_size > 0):
-        where = prefix.get("tile_size", "")
-        raise ParameterError(f"{where}tile size must be a positive finite number, got {cfg.tile_size!r}")
-    return cfg
+        flag = getattr(args, f.name, None)
+        from_file = flag is None and f.name in raw
+        value = settings[f.name] = flag if flag is not None else raw.get(f.name, f.default)
+        if value is not None or f.default is not None:  # a setting whose default is None may stay unset
+            _check_setting(f.name, value, f"{config_path}: " if from_file else "")
+    return PipelineConfig(**settings)
 
 
 def _tile_floor(coord: float, ts: float) -> float:
@@ -120,6 +128,7 @@ def _derive_grid(cfg: PipelineConfig, units=None) -> TileGrid:
 
 
 _Kind = TypeVar("_Kind", bound=io.Raster)
+_T = TypeVar("_T")
 
 
 def _read_grid(path: str, as_kind: Callable[[io.Raster], _Kind]) -> _Kind:
@@ -154,43 +163,34 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     errors: list[str] = []
-    warns: list[str] = []
     checked: dict[str, dict] = {}
-    admin_box = None
-    mask_raster = None
+
+    def read(reader: Callable[[], _T]) -> _T | None:
+        """What ``reader`` returns, or None once its refusal is recorded."""
+        try:
+            return reader()
+        except (PopgridError, OSError) as e:
+            errors.append(f"{type(e).__name__}: {e}")
+            return None
+
+    def admin_summary() -> tuple[BBox, dict]:
+        units = io.read_admin_units(args.admin, expected_level=args.level)
+        box = parts_bbox([p for u in units for p in u.geometry])  # refuses a file without units
+        total = float(sum(u.population for u in units))
+        bbox = [box.min_x, box.min_y, box.max_x, box.max_y]
+        return box, {"units": len(units), "bbox": bbox, "population_total": total}
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if args.admin:
-            try:
-                units = io.read_admin_units(args.admin, expected_level=args.level)
-                admin_box = parts_bbox([p for u in units for p in u.geometry])
-                checked["admin"] = {
-                    "units": len(units),
-                    "bbox": [admin_box.min_x, admin_box.min_y, admin_box.max_x, admin_box.max_y],
-                    "population_total": float(sum(u.population for u in units)),
-                }
-            except (PopgridError, OSError) as e:
-                errors.append(f"{type(e).__name__}: {e}")
-        if args.poi:
-            try:
-                pois = io.read_poi(args.poi)
-                checked["poi"] = {"points": len(pois)}
-            except (PopgridError, OSError) as e:
-                errors.append(f"{type(e).__name__}: {e}")
-        if args.mask:
-            try:
-                mask_raster = _read_grid(args.mask, io.BinaryRaster.from_raster)
-                checked["mask"] = {
-                    "n_cols": mask_raster.n_cols,
-                    "n_rows": mask_raster.n_rows,
-                    "pixel_size": mask_raster.pixel_size,
-                }
-            except (PopgridError, OSError) as e:
-                errors.append(f"{type(e).__name__}: {e}")
-        if admin_box is not None and mask_raster is not None:
-            if not admin_box.intersects(mask_raster.grid.extent()):
-                errors.append("ConfigurationError: admin polygons and built-up mask have disjoint extents")
-    warns.extend(str(w.message) for w in caught)
+        if args.admin and (admin := read(admin_summary)) is not None:
+            admin_box, checked["admin"] = admin
+        if args.poi and (pois := read(lambda: io.read_poi(args.poi))) is not None:
+            checked["poi"] = {"points": len(pois)}
+        if args.mask and (mask := read(lambda: _read_grid(args.mask, io.BinaryRaster.from_raster))) is not None:
+            checked["mask"] = {"n_cols": mask.n_cols, "n_rows": mask.n_rows, "pixel_size": mask.pixel_size}
+        if "admin" in checked and "mask" in checked and not admin_box.intersects(mask.grid.extent()):
+            errors.append("ConfigurationError: admin polygons and built-up mask have disjoint extents")
+    warns = [str(w.message) for w in caught]
     if not (args.admin or args.poi or args.mask):
         errors.append("ConfigurationError: nothing to validate: pass --admin, --poi and/or --mask")
     code = 2 if errors else (1 if warns else 0)
@@ -259,9 +259,7 @@ def cmd_filter_poi(args: argparse.Namespace) -> int:
     if cfg.poi is None or cfg.out is None:
         raise ConfigurationError("filter-poi needs --poi and --out")
     pois = io.read_poi(cfg.poi)
-    units = None
-    if cfg.admin is not None:
-        units = io.read_admin_units(cfg.admin, expected_level=cfg.level)
+    units = io.read_admin_units(cfg.admin, expected_level=cfg.level) if cfg.admin is not None else None
     grid = _derive_grid(cfg, units)
     tile_mask = compute_tile_mask(grid, pois, cfg.poi_radius, cfg.poi_threshold)
     with io.staged(cfg.out) as (temp,):

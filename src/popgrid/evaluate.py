@@ -84,8 +84,8 @@ def confusion(predicted: Raster, reference: Raster) -> ConfusionCounts:
     p = (predicted.values != 0) & valid
     r = (reference.values != 0) & valid
     tp = int(np.count_nonzero(p & r))
-    fp = int(np.count_nonzero(p & ~r & valid))
-    fn = int(np.count_nonzero(~p & r & valid))
+    fp = int(np.count_nonzero(p & ~r))
+    fn = int(np.count_nonzero(~p & r))
     tn = int(np.count_nonzero(~p & ~r & valid))
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
@@ -103,10 +103,10 @@ def metrics(c: ConfusionCounts) -> Metrics:
     if denom == 0:
         return Metrics(accuracy=accuracy, f1=1.0, precision=1.0, recall=1.0, iou=1.0)
     f1 = 2 * c.tp / denom
-    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) else (1.0 if c.fn == 0 else 0.0)
-    recall = c.tp / (c.tp + c.fn) if (c.tp + c.fn) else (1.0 if c.fp == 0 else 0.0)
-    union = c.tp + c.fp + c.fn
-    iou = c.tp / union if union else 1.0
+    # from here tp + fp == 0 means fn > 0, tp + fn == 0 means fp > 0, and the union is positive
+    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) else 0.0
+    recall = c.tp / (c.tp + c.fn) if (c.tp + c.fn) else 0.0
+    iou = c.tp / (c.tp + c.fp + c.fn)
     return Metrics(accuracy=accuracy, f1=f1, precision=precision, recall=recall, iou=iou)
 
 

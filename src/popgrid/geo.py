@@ -377,6 +377,14 @@ def parts_bbox(parts: Sequence[Polygon]) -> BBox:
     return box
 
 
+def check_grid_size(n: object) -> None:
+    """Refuse ``n`` as a count of tile columns or rows unless it is an integer of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValidationError(f"grid size must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"grid size must be at least 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class TileGrid:
     """A regular square tiling anchored at a lower-left origin.
@@ -397,11 +405,8 @@ class TileGrid:
             _require_finite(getattr(self, name), f"TileGrid.{name}")
         if self.tile_size <= 0:
             raise ValidationError(f"tile_size must be positive, got {self.tile_size}")
-        for n in (self.n_cols, self.n_rows):
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise ValidationError(f"grid size must be an integer, got {n!r}")
-        if self.n_cols < 1 or self.n_rows < 1:
-            raise ValidationError(f"grid needs at least one tile: {self.n_cols}x{self.n_rows}")
+        check_grid_size(self.n_cols)
+        check_grid_size(self.n_rows)
 
     @property
     def n_tiles(self) -> int:

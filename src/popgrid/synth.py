@@ -134,16 +134,9 @@ def _partition(rng: np.random.Generator, n_cols: int, n_rows: int, n_units: int)
     """Guillotine split of the tile grid into n_units rectangles (c0, r0, w, h)."""
     rects = [(0, 0, n_cols, n_rows)]
     while len(rects) < n_units:
-        best = -1
-        best_area = 0
-        for i, (_, _, w, h) in enumerate(rects):
-            if (w > 1 or h > 1) and w * h > best_area:
-                best = i
-                best_area = w * h
-        if best < 0:
-            raise GenerationError(
-                f"cannot partition a {n_cols}x{n_rows} tile grid into {n_units} units"
-            )
+        # the first of the largest; generate refuses n_units > n_tiles, so it spans two tiles or more
+        areas = [w * h for _, _, w, h in rects]
+        best = areas.index(max(areas))
         c0, r0, w, h = rects[best]
         if w >= h and w > 1:
             cut = int(rng.integers(1, w))

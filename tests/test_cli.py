@@ -7,13 +7,15 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from popgrid import cli, errors, io, synth
+from popgrid import cli, errors, io, render, synth
 from popgrid.cli import main
 from popgrid.geo import BBox
 
@@ -446,6 +448,35 @@ class TestRun:
         assert "ERROR: ParameterError: tile size must be a positive finite number, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value, flag, good, error, message",
+        [
+            ("n_cols", 2.5, None, "32", "ValidationError", "grid size must be an integer, got 2.5"),
+            ("poi_radius", "500", None, "500", "ParameterError",
+             "radius must be a positive number with a finite square, got '500'"),
+            ("poi_threshold", 0, "0", "5", "ParameterError", "threshold must be an integer of at least 1, got 0"),
+            ("level", "xyz", "xyz", "circle", "SchemaError",
+             "unknown admin level 'xyz'; expected one of ['tehsil', 'charge', 'circle', 'block']"),
+        ],
+        ids=["n_cols", "poi_radius", "poi_threshold", "level"],
+    )
+    def test_a_refused_setting_stops_the_command_before_any_input_is_read(
+        self, tmp_path, scenario, capsys, key, value, flag, good, error, message
+    ):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        option = "--" + key.replace("_", "-")
+        missing = ["run", "--admin", str(tmp_path / "missing.geojson"), "--poi", scenario["poi"],
+                   "--mask", scenario["mask"], "--out", str(tmp_path / "o")]
+        assert main([*missing, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"ERROR: {error}: {cfg_path}: {key}: {message}\n"
+        if flag is not None:  # the same value as a flag reads as it always has
+            assert main([*missing, option, flag]) == 2
+            assert capsys.readouterr().err == f"ERROR: {error}: {message}\n"
+        assert not (tmp_path / "o").exists()
+        # a flag overrides the file's value, and is the one checked
+        assert run_pipeline(scenario, tmp_path / "o", "--config", str(cfg_path), option, good) == 0
+
+    @pytest.mark.parametrize(
         "command, grid, refused",
         [
             ("run", ["--n-cols", str(10**23)], True),
@@ -525,6 +556,30 @@ class TestRun:
         with opens() as opened:
             assert run_pipeline(scenario, tmp_path / "o") == 0
         assert opened.count(Path(scenario["admin"])) == 1
+
+
+class TestLevelFlag:
+    """A tehsil admin file is read with ``--level tehsil`` and refused without it."""
+
+    @pytest.mark.parametrize("command", ["validate", "run", "zonal", "filter-poi"])
+    def test_a_tehsil_file_needs_the_flag(self, tmp_path, scenario, capsys, command):
+        tehsil = tmp_path / "tehsil.geojson"
+        tehsil.write_text(Path(scenario["admin"]).read_text().replace('"level": "circle"', '"level": "tehsil"'))
+        out = tmp_path / "o"
+        argv = {
+            "validate": ["validate", "--admin", str(tehsil)],
+            "run": ["run", "--admin", str(tehsil), "--poi", scenario["poi"], "--mask", scenario["mask"],
+                    "--out", str(out)],
+            "zonal": ["zonal", "--grid", scenario["truth"], "--admin", str(tehsil), "--out", str(out)],
+            "filter-poi": ["filter-poi", "--admin", str(tehsil), "--poi", scenario["poi"], "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "ERROR: LevelMismatchError: " in captured.out + captured.err
+        assert "level 'tehsil' does not match expected 'circle'" in captured.out + captured.err
+        assert not out.exists()
+        assert main([*argv, "--level", "tehsil"]) == 0
+        assert command == "validate" or out.exists()
 
 
 class TestOutputsFailClosed:
@@ -1292,6 +1347,40 @@ REFUSED_INPUTS = [
         2, "SchemaError", "{tmp}/props-list.geojson: feature #0: properties must be an object or null", ["{tmp}/out"],
         id="run-properties-empty-list",
     ),
+    pytest.param(
+        ["zonal", "--grid", "{mask}", "--admin", "{admin}", "--built", "{tmp}/far.asc", "--out", "{tmp}/z.csv"],
+        {"far.asc": "ncols 1\nnrows 1\nxllcorner 5000\nyllcorner 5000\ncellsize 30\nNODATA_value -9999\n1\n"},
+        2, "AlignmentError", "built raster does not match the population grid geometry", ["{tmp}/z.csv"],
+        id="zonal-built-on-another-grid",
+    ),
+    pytest.param(
+        ["synth", "--seed", "0", "--out", "{tmp}/sy", "--clusters", "-1"], {},
+        2, "ValidationError", "POI counts must be non-negative", ["{tmp}/sy"],
+        id="synth-clusters-negative",
+    ),
+    pytest.param(
+        ["synth", "--seed", "0", "--out", "{tmp}/sy", "--cluster-lo", "0"], {},
+        2, "ValidationError", "POI clusters need at least one point", ["{tmp}/sy"],
+        id="synth-cluster-lo-0",
+    ),
+    pytest.param(
+        ["synth", "--seed", "0", "--out", "{tmp}/sy", "--tile-size", "-30"], {},
+        2, "ValidationError", "tile_size and pixel_size must be positive", ["{tmp}/sy"],
+        id="synth-tile-size-negative",
+    ),
+    pytest.param(  # nothing is built, so no unit can host a cluster
+        ["synth", "--seed", "0", "--out", "{tmp}/sy", "--built-lo", "0", "--built-hi", "0", "--pop-lo", "0",
+         "--pop-hi", "0"], {},
+        2, "GenerationError", "POI clusters requested but no unit has built tiles", ["{tmp}/sy"],
+        id="synth-clusters-without-built-tiles",
+    ),
+    pytest.param(  # the 250 m cluster disc fits in the one 600 m tile, its unit's only home
+        ["synth", "--seed", "0", "--out", "{tmp}/sy", "--extent", "600", "--tile-size", "600", "--pixel-size", "300",
+         "--n-units", "1", "--clusters", "1"], {},
+        2, "GenerationError", "could not place POI clusters without starving a unit of residential pixels",
+        ["{tmp}/sy"],
+        id="synth-placement-exhausted",
+    ),
 ]
 
 
@@ -1461,6 +1550,19 @@ class TestRender:
         assert "ERROR: ValidationError: cannot render 1 non-finite data cells" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"scale": "sqrt"}, "scale must be 'linear' or 'log', got 'sqrt'"),
+            ({"fmt": "P6"}, "fmt must be 'P2' or 'P5', got 'P6'"),
+        ],
+    )
+    def test_library_refuses_a_scale_or_format_the_cli_offers_no_choice_of(self, tmp_path, option, message):
+        r = io.Raster(origin_x=0, origin_y=0, pixel_size=30.0, values=np.ones((2, 2)))
+        with pytest.raises(errors.ParameterError, match=re.escape(message)):
+            render.render_pgm(r, tmp_path / "r.pgm", **option)
+        assert not (tmp_path / "r.pgm").exists()
+
 
 class TestSynthCommand:
     def test_writes_consumable_scenario(self, scenario):
@@ -1476,6 +1578,17 @@ class TestSynthCommand:
             assert rc == 0
         for name in ("admin.geojson", "poi.geojson", "mask.asc", "truth_tiles.asc", "scenario.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_same_bytes_under_any_hash_seed(self, tmp_path):
+        # write_poi_geojson encodes each distinct category once, through a
+        # table built from a set, so the set's order must not reach the bytes.
+        src = str(Path(cli.__file__).parents[1])
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            argv = ["synth", "--seed", "42", "--out", str(tmp_path / seed), "--extent", "3840", "--n-units", "12"]
+            subprocess.run([sys.executable, "-m", "popgrid.cli", *argv], env=env, check=True, capture_output=True)
+        for name in ("admin.geojson", "poi.geojson", "mask.asc", "truth_tiles.asc", "scenario.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_a_blocked_output_leaves_no_new_file(self, tmp_path, capsys):
         d = tmp_path / "d"

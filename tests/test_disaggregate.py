@@ -7,7 +7,7 @@ import pytest
 
 from oracles import brute_force_allocate
 from popgrid.disaggregate import allocate, allocate_uniform, assign_pixels, run_disaggregation
-from popgrid.errors import ConfigurationError, OverlapWarning, ValidationError
+from popgrid.errors import AlignmentError, ConfigurationError, OverlapWarning, ValidationError
 from popgrid.geo import BBox, TileGrid, rectangle
 from popgrid.io import AdminLevel, AdminUnit, BinaryRaster
 from popgrid.poi_filter import TileMask
@@ -141,6 +141,13 @@ class TestInputChecks:
         mask = binary(0, 0, 45.0, [[1, 1], [1, 1]])
         with pytest.raises(ConfigurationError):
             assign_pixels(mask, grid, [unit("c1", (0, 0, 60, 60), 1.0)], all_retained(grid))
+
+    def test_tile_mask_on_another_grid_rejected(self):
+        grid = TileGrid(origin_x=0, origin_y=0, n_cols=2, n_rows=2, tile_size=30.0)
+        shifted = TileGrid(origin_x=30.0, origin_y=0, n_cols=2, n_rows=2, tile_size=30.0)
+        mask = binary(0, 0, 15.0, [[1] * 4] * 4)
+        with pytest.raises(AlignmentError, match="^tile mask grid does not match the allocation grid$"):
+            run_disaggregation(mask, grid, [unit("c1", (0, 0, 60, 60), 1.0)], all_retained(shifted))
 
     def test_disjoint_extents_rejected(self):
         grid = TileGrid(origin_x=0, origin_y=0, n_cols=2, n_rows=2, tile_size=30.0)

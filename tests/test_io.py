@@ -232,6 +232,18 @@ class TestReadAdminUnits:
                 assert ga.exterior == gb.exterior
                 assert ga.holes == gb.holes
 
+    def test_round_trip_of_a_two_part_unit_with_a_hole(self, tmp_path):
+        holed = Polygon(rectangle(0.0, 0.0, 100.0, 100.0).exterior, [[(20.0, 20.0), (40.0, 20.0), (40.0, 40.0)]])
+        unit = io.AdminUnit("two", io.AdminLevel.CIRCLE, (holed, rectangle(200.0, 0.0, 300.0, 50.0)), 12.5)
+        p = tmp_path / "multi.geojson"
+        io.write_admin_units([unit], p)
+        assert json.loads(p.read_text())["features"][0]["geometry"]["type"] == "MultiPolygon"
+        assert io.read_admin_units(p) == [unit]
+
+    def test_a_unit_without_geometry_is_refused(self):
+        with pytest.raises(ValidationError, match="^admin unit 'a' has no geometry$"):
+            io.AdminUnit("a", io.AdminLevel.CIRCLE, (), 1.0)
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
     def test_parse_error_position_is_the_same_for_every_line_end(self, tmp_path, eol):
         p = tmp_path / "a.geojson"
@@ -1577,6 +1589,19 @@ class TestRasterGrid:
     def test_constructor_rejects_a_lattice_tilegrid_rejects(self, bad):
         kwargs = {"origin_x": 0.0, "origin_y": 0.0, "pixel_size": 30.0, "values": np.zeros((2, 3)), **bad}
         with pytest.raises(ValidationError):
+            io.Raster(**kwargs)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"values": np.zeros(6)}, "raster values must be 2-D, got shape (6,)"),
+            ({"nodata": np.zeros((3, 2), dtype=bool)}, "nodata mask shape does not match values"),
+        ],
+        ids=["values-1d", "nodata-transposed"],
+    )
+    def test_constructor_rejects_arrays_of_the_wrong_shape(self, bad, message):
+        kwargs = {"origin_x": 0.0, "origin_y": 0.0, "pixel_size": 30.0, "values": np.zeros((2, 3)), **bad}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             io.Raster(**kwargs)
 
 

@@ -169,6 +169,10 @@ class TestDensePois:
 class TestComputeTileMask:
     grid = TileGrid(origin_x=0.0, origin_y=0.0, n_cols=20, n_rows=20, tile_size=30.0)
 
+    def test_a_mask_of_another_shape_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^mask shape \(20, 19\) does not match grid 20x20$"):
+            poi_filter.TileMask(self.grid, np.ones((20, 19), dtype=bool))
+
     def test_no_pois_all_retained(self):
         mask = compute_tile_mask(self.grid, make_set([]), 500.0, 5)
         assert mask.retained.all()
